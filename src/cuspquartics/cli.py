@@ -151,7 +151,7 @@ def _load_family(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read manifest: {exc}") from exc
     try:
         return geometry.family_from_manifest(text), text
@@ -430,6 +430,27 @@ def _corner_quadratic_determinant(surface):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from exc
+
+
+def _attach_negative_k(argv):
+    """Write `--k -7/5` as `--k=-7/5`: argparse takes a separate value that
+    starts with '-' and is not a plain negative number for an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--k" and len(arg) > 1 and arg[0] == "-"
+                and (arg[1].isdigit() or arg[1] == ".")):
+            out[-1] = f"--k={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
@@ -470,7 +491,8 @@ def _build_parser():
     p = sub.add_parser("verify-example", parents=[common],
                        help="re-check a worked example")
     p.add_argument("name", choices=("ex61", "ex62", "barth"))
-    p.add_argument("--k", default="2", help="parameter for the barth family")
+    p.add_argument("--k", type=_fraction, default="2",
+                   help="parameter for the barth family, e.g. 2 or -7/5")
 
     p = sub.add_parser("cusps", parents=[common],
                        help="cusp candidates of a manifest family")
@@ -492,9 +514,13 @@ def _dispatch(args):
     if args.subcommand == "gb":
         text = args.generators
         if args.file:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = ",".join(line.strip() for line in fh
-                                if line.strip() and not line.startswith("#"))
+            try:
+                with open(args.file, "r", encoding="utf-8") as fh:
+                    lines = fh.readlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read generator file: {exc}") from exc
+            text = ",".join(line.strip() for line in lines
+                            if line.strip() and not line.startswith("#"))
         if not text:
             raise InputError("no generators given (inline or --file)")
         return report_gb(text, args.order, args.vars)
@@ -522,7 +548,9 @@ def _dispatch(args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_k(argv))
     started = time.monotonic()
     try:
         report = _dispatch(args)

@@ -2,10 +2,13 @@
 
 Words live in F3^q with the output convention that the residue 2 prints as
 -1.  A code is given by generator words; supports of nonzero codewords are
-the combinatorial shadows of candidate three-divisible cusp sets.  The
-enumeration searches all two-dimensional constant-weight-6 subcodes
-exhaustively (the space is tiny) and filters support families by symmetry
-invariance, pairwise overlap and coplanarity.
+the combinatorial shadows of candidate three-divisible cusp sets.  By
+Bonisoli's theorem (Ars Combin. 18, 1984) a two-dimensional ternary code
+whose nonzero words all have weight 3m is a replicated [4, 2, {3}] simplex
+code: its support is split into four blocks of size m, one per point of
+PG(1, 3).  The enumeration builds the support families from these set
+partitions directly and filters them by symmetry invariance, pairwise
+overlap and coplanarity.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from . import linalg
 from .geometry import ProjectivePoint
@@ -120,9 +121,6 @@ class TernaryCode:
         return {frozenset(i + 1 for i, v in enumerate(w) if v)
                 for w in self.codewords() if any(w)}
 
-    def canonical_key(self):
-        return tuple(sorted(self.codewords()))
-
     def to_json_dict(self):
         return {"length": self.length,
                 "dimension": self.dimension,
@@ -225,84 +223,87 @@ def configuration_from_coordinate_swaps(points, swaps=((0, 1), (2, 3))):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive constant-weight search
+# two-dimensional constant-weight codes from set partitions
 # ---------------------------------------------------------------------------
 
-def constant_weight_words(length, w):
-    """All weight-w words in F3^length as an int8 array (deterministic order)."""
-    rows = []
-    for supp in combinations(range(length), w):
-        for signs in range(2 ** w):
-            word = [0] * length
-            for b, i in enumerate(supp):
-                word[i] = 1 if (signs >> b) & 1 == 0 else 2
-            rows.append(word)
-    if not rows:
-        return np.zeros((0, length), dtype=np.int8)
-    return np.array(rows, dtype=np.int8)
+# the four points of PG(1, 3), labelling the blocks of a partition in order
+_SIMPLEX_COLUMNS = ((1, 0), (0, 1), (1, 1), (1, 2))
+
+
+def _equal_partitions(items, m):
+    """Unordered partitions of items into blocks of size m, each once: the
+    blocks keep the order of items and are listed by their first element."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for others in combinations(rest, m - 1):
+        left = tuple(i for i in rest if i not in others)
+        for tail in _equal_partitions(left, m):
+            yield ((first,) + others,) + tail
+
+
+def _simplex_partitions(length, w):
+    """(support, blocks) of every replicated simplex code of weight w: a
+    4m-subset of the 0-based coordinates with w = 3m, split into 4 blocks
+    of size m.  Nothing when 3 does not divide w."""
+    m, rest = divmod(w, 3)
+    if rest or m < 1:
+        return
+    for support in combinations(range(length), 4 * m):
+        for blocks in _equal_partitions(support, m):
+            yield support, blocks
+
+
+def constant_weight_families(length, w):
+    """Support families of the 2-dimensional codes of the given length whose
+    nonzero words all have weight w, each family a frozenset of the four
+    1-based supports {S minus B : B a block}; each family appears once.
+    """
+    families = []
+    for support, blocks in _simplex_partitions(length, w):
+        whole = frozenset(i + 1 for i in support)
+        families.append(frozenset(whole - {i + 1 for i in block}
+                                  for block in blocks))
+    return families
 
 
 def enumerate_constant_weight_codes(length, w):
     """All 2-dimensional codes of the given length whose nonzero words all
-    have weight w.  Exhaustive over pairs of weight-w words; each code is
-    returned once (canonicalized by its codeword set).
+    have weight w, each exactly once.
+
+    The generator matrix of a partition whose blocks are labelled in order
+    by (1:0), (0:1), (1:1), (1:2) and of signs s_i has the column
+    s_i * label(i) at coordinate i of the support.  GL(2, 3) acts freely on
+    such matrices and only -1 keeps every label, so fixing the first sign
+    to +1 leaves one matrix per code: 2^(4m - 1) codes per partition.
     """
-    words = constant_weight_words(length, w)
-    n = len(words)
-    if n == 0:
-        return []
-    index = {tuple(int(x) for x in row): i for i, row in enumerate(words)}
-    neg_index = np.array([index[tuple(int(x) for x in (2 * row) % 3)]
-                          for row in words])
-    found = {}
-    for i in range(n):
-        if neg_index[i] < i:
-            continue
-        s1 = (words[i] + words) % 3
-        s2 = (words[i] + 2 * words) % 3
-        ok = ((np.count_nonzero(s1, axis=1) == w)
-              & (np.count_nonzero(s2, axis=1) == w))
-        ok[:i + 1] = False
-        for j in np.nonzero(ok)[0]:
-            c1 = tuple(int(x) for x in s1[j])
-            c2 = tuple(int(x) for x in s2[j])
-            i1, i2 = index[c1], index[c2]
-            members = (i, int(neg_index[i]), int(j), int(neg_index[j]),
-                       i1, int(neg_index[i1]), i2, int(neg_index[i2]))
-            if min(members) < i:
-                continue
-            key = frozenset(members)
-            if key not in found:
-                found[key] = (i, int(j))
     codes = []
-    for i, j in sorted(found.values()):
-        codes.append(TernaryCode(length, [tuple(int(x) for x in words[i]),
-                                          tuple(int(x) for x in words[j])]))
+    for support, blocks in _simplex_partitions(length, w):
+        label = {i: point for point, block in zip(_SIMPLEX_COLUMNS, blocks)
+                 for i in block}
+        for signs in range(0, 2 ** len(support), 2):  # bit 0 clear: s = +1
+            rows = ([0] * length, [0] * length)
+            for b, i in enumerate(support):
+                s = -1 if signs >> b & 1 else 1
+                rows[0][i], rows[1][i] = (s * x for x in label[i])
+            codes.append(TernaryCode(length, rows))
     return codes
 
 
 def enumerate_divisible_families(config):
     """Candidate three-divisible support families on a configuration.
 
-    Searches every 2-dimensional constant-weight-6 subcode, keeps the
-    4-support families that are invariant under the symmetry group, overlap
+    Takes the support family of every 2-dimensional constant-weight-6 code,
+    keeps those that are invariant under the symmetry group, overlap
     pairwise in at most 4 indices and contain no coplanar 5-subset, and
-    returns them deduplicated.  These are the necessary conditions; the
-    output is a superset of the true three-divisible families.
+    returns them sorted.  These are the necessary conditions; the output is
+    a superset of the true three-divisible families.
     """
     points = config.points
-    q = len(points)
-    if q < 6:
-        return []
-    coplanar5 = {frozenset(s) for s in coplanar_subsets(points, 5)} if q >= 5 else set()
-    families = {}
-    for code in enumerate_constant_weight_codes(q, 6):
-        family = frozenset(code.supports())
-        if len(family) != 4:
-            continue
-        families.setdefault(family, []).append(code)
+    coplanar5 = {frozenset(s) for s in coplanar_subsets(points, 5)}
     kept = []
-    for family in families:
+    for family in constant_weight_families(len(points), 6):
         if not _symmetry_invariant(family, config.symmetries):
             continue
         if any(len(a & b) > 4 for a, b in combinations(family, 2)):
@@ -310,7 +311,7 @@ def enumerate_divisible_families(config):
         if any(c <= s for s in family for c in coplanar5):
             continue
         kept.append(tuple(sorted(tuple(sorted(s)) for s in family)))
-    return sorted(set(kept))
+    return sorted(kept)
 
 
 def _symmetry_invariant(family, symmetries):

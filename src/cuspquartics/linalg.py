@@ -12,10 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def to_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [list(map(Fraction, row)) for row in rows]

@@ -64,6 +64,16 @@ def test_gb_from_file_with_order(capsys, tmp_path):
     assert basis["elements"] == ["x1 - 1", "x0 - 1"]
 
 
+def test_gb_unreadable_file_exit2(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"x0 - \xff\n")
+    for path in (tmp_path / "nope.txt", undecodable):
+        code, out, err = run_cli(capsys, "gb", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: cannot read")
+
+
 def test_nf(capsys):
     code, report, _ = run_json(capsys, "--json", "nf", "x0, x1", "x0^2 + x1 + 5")
     assert code == 0
@@ -138,6 +148,14 @@ def test_construct_missing_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+def test_construct_undecodable_file_exit2(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"Lp = x0 \xff\n")
+    code, _, err = run_cli(capsys, "construct", str(path))
+    assert code == 2
+    assert err.startswith("input error: cannot read manifest")
+
+
 def test_cusps_command(capsys, tmp_path):
     path = tmp_path / "fam.txt"
     path.write_text(EX62_MANIFEST)
@@ -196,6 +214,23 @@ def test_verify_barth_warns_but_verifies(capsys):
                for w in report["warnings"])
 
 
+def test_verify_barth_takes_a_separate_negative_fraction(capsys):
+    reports = []
+    for argv in (["--k", "-7/5"], ["--k=-7/5"]):
+        code, report, _ = run_json(capsys, "--json", "verify-example", "barth",
+                                   *argv)
+        assert code == 0
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["inputs"]["k"] == "-7/5"
+    for bad in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-example", "barth", "--k", bad])
+        assert exc.value.code == 2
+        assert "not a rational number" in capsys.readouterr().err
+
+
 def test_enumerate_sets(capsys):
     code, report, _ = run_json(capsys, "--json", "enumerate-sets")
     assert code == 0
@@ -216,3 +251,11 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "VERIFIED" in proc.stdout
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cuspquartics.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,13 @@
+from functools import cache
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from cuspquartics.codes import (
     CuspConfiguration,
     TernaryCode,
     configuration_from_coordinate_swaps,
-    constant_weight_words,
+    constant_weight_families,
     coplanar_subsets,
     eight_cusp_code,
     enumerate_constant_weight_codes,
@@ -171,21 +171,103 @@ def test_enumeration_needs_six_points():
     assert enumerate_divisible_families(config) == []
 
 
+# ---------------------------------------------------------------------------
+# brute-force oracle: pair search over all weight-w words
+# ---------------------------------------------------------------------------
+# A word of F3^q is a pair of bitmasks (ones, twos).  Two words a, b span a
+# code whose nonzero words all have weight w iff a + b and a - b have weight
+# w, and -b swaps the masks of b.
+
+def _words(length, w):
+    """All weight-w words of F3^length as (ones, twos) mask pairs."""
+    words = []
+    for supp in combinations(range(length), w):
+        for signs in range(2 ** w):
+            twos = sum(1 << i for b, i in enumerate(supp) if signs >> b & 1)
+            words.append((sum(1 << i for i in supp) ^ twos, twos))
+    return words
+
+
+def _sum_weight(a, b):
+    """Weight of a + b: the union of the supports minus the cancellations
+    1 + 2 and 2 + 1."""
+    (p, n), (r, s) = a, b
+    return (p | n | r | s).bit_count() - ((p & s) | (n & r)).bit_count()
+
+
+def _add(a, b):
+    """a + b, from 1 = 1 + 0 = 0 + 1 = 2 + 2 and 2 = 2 + 0 = 0 + 2 = 1 + 1."""
+    (p, n), (r, s) = a, b
+    return ((p & ~(r | s)) | (r & ~(p | n)) | (n & s),
+            (n & ~(r | s)) | (s & ~(p | n)) | (p & r))
+
+
+def _residues(word, length):
+    ones, twos = word
+    return tuple(1 if ones >> i & 1 else 2 if twos >> i & 1 else 0
+                 for i in range(length))
+
+
+def _leads_with_one(word):
+    ones, twos = word
+    support = ones | twos
+    return bool(ones & support & -support)
+
+
+@cache
+def pair_search(length, w):
+    """(words, compat, codes): compat[i] is the bitset of the words j != i
+    that span a weight-w code with words[i]; codes are the codeword sets of
+    every such span, in residue form."""
+    words = _words(length, w)
+    compat = [0] * len(words)
+    spans = set()
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            b = words[j]
+            if (_sum_weight(a, b) == w
+                    and _sum_weight(a, (b[1], b[0])) == w):
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+                # one span per pair of projective points of the code
+                if _leads_with_one(a) and _leads_with_one(b):
+                    span = (a, b, _add(a, b), _add(a, (b[1], b[0])))
+                    spans.add(frozenset(span + tuple((y, x) for x, y in span)))
+    codes = {frozenset({(0,) * length}
+                       | {_residues(v, length) for v in span})
+             for span in spans}
+    return words, tuple(compat), codes
+
+
+def _families(codes):
+    return {frozenset(frozenset(i + 1 for i, v in enumerate(word) if v)
+                      for word in code if any(word))
+            for code in codes}
+
+
+@pytest.mark.parametrize("length, w", [(q, w) for q in range(1, 8)
+                                       for w in (3, 6)] + [(8, 6)])
+def test_families_match_the_pair_search(length, w):
+    _, _, codes = pair_search(length, w)
+    structural = constant_weight_families(length, w)
+    assert len(set(structural)) == len(structural)
+    assert set(structural) == _families(codes)
+
+
+@pytest.mark.parametrize("length, w", [(4, 3), (5, 3), (7, 3), (8, 6)])
+def test_codes_match_the_pair_search(length, w):
+    found = [frozenset(c.codewords())
+             for c in enumerate_constant_weight_codes(length, w)]
+    assert len(set(found)) == len(found)
+    assert set(found) == pair_search(length, w)[2]
+
+
 def test_no_three_dimensional_constant_weight_extension():
     # cross-check of the dimension bound: no found code extends to a
     # 3-dimensional all-weight-6 code.  w extends span(v1..v4) iff w is
     # pair-compatible with every vi, so empty intersections settle it.
-    words = constant_weight_words(8, 6)
-    n = len(words)
-    index = {tuple(int(x) for x in row): i for i, row in enumerate(words)}
-    compat = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        s1 = (words[i] + words) % 3
-        s2 = (words[i] + 2 * words) % 3
-        ok = ((np.count_nonzero(s1, axis=1) == 6)
-              & (np.count_nonzero(s2, axis=1) == 6))
-        ok[i] = False
-        compat[i] = ok
+    words, compat, _ = pair_search(8, 6)
+    index = {_residues(v, 8): i for i, v in enumerate(words)}
     for code in enumerate_constant_weight_codes(8, 6):
         reps = []
         seen = set()
@@ -199,4 +281,4 @@ def test_no_three_dimensional_constant_weight_extension():
             reps.append(index[w])
         assert len(reps) == 4
         joint = compat[reps[0]] & compat[reps[1]] & compat[reps[2]] & compat[reps[3]]
-        assert not joint.any()
+        assert not joint
