@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import linalg
 from .polyring import QQ, DivisionError, Polynomial, PolyRing
@@ -317,23 +317,16 @@ def _uni_rational_roots(coeffs):
         return roots
     den = 1
     for x in c:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in c]
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            if _gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand not in roots and _uni_eval(c, cand) == 0:
                     roots.append(cand)
     return roots
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _strip_rational_roots(coeffs):

@@ -4,20 +4,29 @@ The engine always returns the reduced Groebner basis (monic, inter-reduced,
 sorted), so bases are unique per ideal and term order and every downstream
 certificate is reproducible.  Pair selection follows the normal strategy;
 useless pairs are discarded with Buchberger's product and chain criteria in
-the Gebauer-Moeller formulation.  Over the rationals all internal arithmetic
-is integer-only with content removal, which keeps coefficient growth in
-check; remainders exposed to callers are exact.
+the Gebauer-Moeller formulation.
+
+One Buchberger loop and one reducer serve every caller and both coefficient
+domains.  They work on coefficient dicts: over QQ the coefficients are
+integers, divisors are content-free, and a reduction step scales the work by
+a gcd cofactor instead of dividing, with content removed on the way; over
+GF(p) the coefficients are residues and divisors are monic, so no step
+scales.  Zero tests (membership, radical exponents, the S-pair audit) read
+that primitive remainder directly; ``normal_form`` divides it by the unit
+the reducer tracked, so remainders exposed to callers are exact.  The audit
+checks the pairs that the criteria keep when they are replayed over the
+basis.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .polyring import (
     QQ,
     RingMismatchError,
-    integer_content_free,
     monomial_div,
     monomial_lcm,
     monomial_mul,
@@ -64,12 +73,11 @@ class Ideal:
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, sorted by leading monomial."""
 
-    __slots__ = ("ring", "polys", "reduced")
+    __slots__ = ("ring", "polys")
 
-    def __init__(self, ring, polys, reduced=True):
+    def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
-        self.reduced = reduced
 
     def __len__(self):
         return len(self.polys)
@@ -81,14 +89,21 @@ class GroebnerBasis:
         return tuple(g.leading_monomial() for g in self.polys)
 
     def verify_buchberger_criterion(self):
-        """Re-check that every pair's S-polynomial reduces to zero."""
-        polys = self.polys
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                s = s_polynomial(polys[i], polys[j])
-                if not normal_form(s, self).is_zero():
-                    return False
-        return True
+        """Re-check that the S-polynomial of every needed pair reduces to zero.
+
+        The needed pairs are those the product and chain criteria keep when
+        the pair update is replayed over the basis in order; the pairs they
+        drop reduce to zero whenever the kept ones do.
+        """
+        engine = _Engine(self.ring)
+        divisors = engine.divisors(self.polys)
+        lms = [d[0] for d in divisors]
+        pairs = set()
+        for t in range(len(lms)):
+            pairs = _update_pairs(lms, pairs, t)
+        return all(not engine.reduce(engine.spair(divisors[i], divisors[j]),
+                                     divisors)[0]
+                   for i, j in sorted(pairs))
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.polys)} elements, {self.ring.order})"
@@ -110,166 +125,180 @@ def s_polynomial(f, g):
 
 
 # ---------------------------------------------------------------------------
-# exact division by a list of polynomials (field coefficients)
+# the reduction engine
 # ---------------------------------------------------------------------------
 
-def _divide_by_list(g, divisors):
-    """Canonical remainder of g under full division by ``divisors``.
+class _Engine:
+    """Coefficient-dict arithmetic of one ring: integers over QQ, residues
+    over GF(p).  A divisor is a view (lm, lc, items) of a nonzero dict."""
 
-    Divisors are tried in their given order at every step, which makes the
-    remainder deterministic; with a Groebner basis it is the normal form.
-    """
-    ring = g.ring
-    dom = ring.domain
-    negkey = negated_order_key(ring.order)
-    leads = [(d.terms[0][0], d.terms[0][1], d.terms) for d in divisors]
-    work = dict(g.terms)
-    remainder = {}
-    heap = [(negkey(m), m) for m in work]
-    heapq.heapify(heap)
-    while heap:
-        _, lm = heapq.heappop(heap)
-        c = work.get(lm)
-        if c is None:
-            continue
-        hit = None
-        for dlm, dlc, dterms in leads:
-            q = monomial_div(lm, dlm)
-            if q is not None:
-                hit = (q, dlc, dterms)
-                break
-        if hit is None:
-            remainder[lm] = c
-            del work[lm]
-            continue
-        q, dlc, dterms = hit
-        factor = dom.mul(c, dom.invert(dlc))
-        for m, k in dterms:
-            mm = monomial_mul(q, m)
-            s = dom.add(work.get(mm, dom.zero), dom.neg(dom.mul(factor, k)))
-            if dom.is_zero(s):
-                work.pop(mm, None)
+    __slots__ = ("ring", "key", "negkey", "modulus")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.key = ring.key
+        self.negkey = negated_order_key(ring.order)
+        self.modulus = None if ring.domain == QQ else ring.domain.p
+
+    def coefficients(self, f):
+        """(p, scale): the coefficient dict p of scale * f, integral over QQ."""
+        if self.modulus:
+            return dict(f.terms), 1
+        scale = lcm(*(c.denominator for _, c in f.terms))
+        return {m: c.numerator * (scale // c.denominator) for m, c in f.terms}, scale
+
+    def polynomial(self, p, unit):
+        """The polynomial p / unit, exact in the ring's domain."""
+        dom = self.ring.domain
+        inv = dom.invert(dom.convert(unit))
+        return self.ring.from_dict({m: dom.mul(dom.convert(c), inv)
+                                    for m, c in p.items()})
+
+    def divisors(self, polys):
+        """Divisor views of the nonzero polynomials, in the given order."""
+        return [self.divisor(self.coefficients(f)[0]) for f in polys if f]
+
+    def divisor(self, p):
+        """View of a nonzero dict as a divisor: content-free over QQ, monic
+        over GF(p)."""
+        lm = max(p, key=self.key)
+        if self.modulus:
+            inv = pow(p[lm], -1, self.modulus)
+            p = {m: c * inv % self.modulus for m, c in p.items()}
+        else:
+            g = gcd(*p.values())
+            if g > 1:
+                p = {m: c // g for m, c in p.items()}
+        return lm, p[lm], tuple(p.items())
+
+    def spair(self, di, dj):
+        """S-polynomial of two divisors, free of denominators."""
+        lmi, ci, fi = di
+        lmj, cj, fj = dj
+        top = monomial_lcm(lmi, lmj)
+        g = gcd(ci, cj)
+        a, b = cj // g, ci // g
+        mi, mj = monomial_div(top, lmi), monomial_div(top, lmj)
+        modulus = self.modulus
+        out = {monomial_mul(m, mi): a * c for m, c in fi}
+        for m, c in fj:
+            mm = monomial_mul(m, mj)
+            s = out.get(mm, 0) - b * c
+            if modulus:
+                s %= modulus
+            if s:
+                out[mm] = s
             else:
-                if mm not in work:
-                    heapq.heappush(heap, (negkey(mm), mm))
-                work[mm] = s
-    return ring.from_dict(remainder)
+                out.pop(mm, None)
+        return out
+
+    def mul(self, p, q):
+        modulus = self.modulus
+        out = {}
+        for m, a in p.items():
+            for n, b in q.items():
+                mn = monomial_mul(m, n)
+                out[mn] = out.get(mn, 0) + a * b
+        if modulus:
+            return {m: c % modulus for m, c in out.items() if c % modulus}
+        return {m: c for m, c in out.items() if c}
+
+    def reduce(self, p, divisors):
+        """(r, unit): remainder r of p under full division by ``divisors``.
+
+        At every step the first divisor whose leading monomial divides the
+        current term is used, which makes the remainder deterministic; with
+        a Groebner basis it is the normal form.  r is ``unit`` times the
+        exact remainder, for a positive rational unit; over QQ r is
+        content-free, over GF(p) unit is 1.
+        """
+        negkey = self.negkey
+        modulus = self.modulus
+        work = dict(p)
+        remainder = {}
+        heap = [(negkey(m), m) for m in work]
+        heapq.heapify(heap)
+        num = den = 1
+        steps = 0
+        while heap:
+            _, lm = heapq.heappop(heap)
+            c = work.get(lm)
+            if c is None:
+                continue
+            for dlm, dlc, ditems in divisors:
+                q = monomial_div(lm, dlm)
+                if q is not None:
+                    break
+            else:
+                remainder[lm] = work.pop(lm)
+                continue
+            g = gcd(c, dlc)
+            a, b = c // g, dlc // g
+            if b < 0:
+                a, b = -a, -b
+            if b != 1:
+                num *= b
+                for m in work:
+                    work[m] *= b
+                for m in remainder:
+                    remainder[m] *= b
+            for m, k in ditems:
+                mm = monomial_mul(q, m)
+                s = work.get(mm, 0) - a * k
+                if modulus:
+                    s %= modulus
+                if s:
+                    if mm not in work:
+                        heapq.heappush(heap, (negkey(mm), mm))
+                    work[mm] = s
+                else:
+                    work.pop(mm, None)
+            steps += 1
+            if not modulus and steps % 64 == 0 and work:
+                g = gcd(*work.values(), *remainder.values())
+                if g > 1:
+                    den *= g
+                    for m in work:
+                        work[m] //= g
+                    for m in remainder:
+                        remainder[m] //= g
+        if not modulus and remainder:
+            g = gcd(*remainder.values())
+            if g > 1:
+                den *= g
+                remainder = {m: c // g for m, c in remainder.items()}
+        return remainder, Fraction(num, den)
 
 
-def normal_form(g, basis):
-    """Remainder of g modulo a Groebner basis (deterministic, exact)."""
+def _divisors(engine, g, basis):
+    """Divisor views of a Groebner basis or a plain list, in g's ring."""
     if isinstance(basis, GroebnerBasis):
         if basis.ring != g.ring:
             raise RingMismatchError("polynomial and basis rings differ "
                                     "(order or variables mismatch)")
-        divisors = basis.polys
+        polys = basis.polys
     else:
-        divisors = tuple(basis)
-        for d in divisors:
+        polys = tuple(basis)
+        for d in polys:
             if d.ring != g.ring:
                 raise RingMismatchError("polynomial and divisor rings differ")
+    return engine.divisors(polys)
+
+
+def normal_form(g, basis):
+    """Remainder of g modulo a Groebner basis (deterministic, exact)."""
+    engine = _Engine(g.ring)
+    divisors = _divisors(engine, g, basis)
     if not divisors:
         return g
-    return _divide_by_list(g, divisors)
+    p, scale = engine.coefficients(g)
+    r, unit = engine.reduce(p, divisors)
+    return engine.polynomial(r, unit * scale)
 
 
 # ---------------------------------------------------------------------------
-# integer engine over QQ
+# Buchberger's algorithm
 # ---------------------------------------------------------------------------
-
-def _strip_content(d):
-    g = 0
-    for v in d.values():
-        g = gcd(g, v)
-        if g == 1:
-            return d
-    if g > 1:
-        return {m: v // g for m, v in d.items()}
-    return d
-
-
-def _reduce_int(p, basis, negkey):
-    """Primitive remainder of integer dict p by [(lm, lc, items), ...]."""
-    work = dict(p)
-    remainder = {}
-    heap = [(negkey(m), m) for m in work]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, lm = heapq.heappop(heap)
-        c = work.get(lm)
-        if c is None:
-            continue
-        hit = None
-        for blm, blc, bitems in basis:
-            q = monomial_div(lm, blm)
-            if q is not None:
-                hit = (q, blc, bitems)
-                break
-        if hit is None:
-            remainder[lm] = c
-            del work[lm]
-            continue
-        q, blc, bitems = hit
-        g = gcd(c, blc)
-        a, b = c // g, blc // g
-        if b < 0:
-            a, b = -a, -b
-        if b != 1:
-            for m in work:
-                work[m] *= b
-            for m in remainder:
-                remainder[m] *= b
-        for m, k in bitems:
-            mm = monomial_mul(q, m)
-            s = work.get(mm, 0) - a * k
-            if s:
-                if mm not in work:
-                    heapq.heappush(heap, (negkey(mm), mm))
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-        steps += 1
-        if steps % 64 == 0 and work:
-            g = 0
-            for v in work.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            else:
-                for v in remainder.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                for m in work:
-                    work[m] //= g
-                for m in remainder:
-                    remainder[m] //= g
-    return _strip_content(remainder)
-
-
-def _spair_int(fi, fj, key):
-    """Integer S-polynomial of two primitive integer dicts."""
-    lmi = max(fi, key=key)
-    lmj = max(fj, key=key)
-    lcm = monomial_lcm(lmi, lmj)
-    ci, cj = fi[lmi], fj[lmj]
-    g = gcd(ci, cj)
-    mi, mj = monomial_div(lcm, lmi), monomial_div(lcm, lmj)
-    a, b = cj // g, ci // g
-    out = {}
-    for m, c in fi.items():
-        out[monomial_mul(m, mi)] = a * c
-    for m, c in fj.items():
-        mm = monomial_mul(m, mj)
-        s = out.get(mm, 0) - b * c
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
-    return out
-
 
 def _update_pairs(lms, pairs, t):
     """Gebauer-Moeller pair update after appending element t.
@@ -314,93 +343,48 @@ def buchberger(ideal, order=None):
         gens = list(ideal.generators)
     if not gens:
         return GroebnerBasis(ring, ())
-    if ring.domain == QQ:
-        basis_polys = _buchberger_qq(ring, gens)
-    else:
-        basis_polys = _buchberger_field(ring, gens)
-    reduced = _interreduce(ring, basis_polys)
-    return GroebnerBasis(ring, reduced)
-
-
-def _buchberger_qq(ring, gens):
+    engine = _Engine(ring)
     key = ring.key
-    negkey = negated_order_key(ring.order)
     G = []
     lms = []
-    views = []
     pairs = set()
 
     def append(p):
-        lm = max(p, key=key)
-        G.append(p)
-        lms.append(lm)
-        views.append((lm, p[lm], tuple(p.items())))
+        nonlocal pairs
+        G.append(engine.divisor(p))
+        lms.append(G[-1][0])
+        pairs = _update_pairs(lms, pairs, len(G) - 1)
 
     for g in gens:
-        p = integer_content_free(g)
-        if not p:
-            continue
-        append(p)
-        pairs = _update_pairs(lms, pairs, len(G) - 1)
-
+        append(engine.coefficients(g)[0])
     while pairs:
         i, j = min(pairs, key=lambda ij: (sum(monomial_lcm(lms[ij[0]], lms[ij[1]])),
                                           key(monomial_lcm(lms[ij[0]], lms[ij[1]])),
                                           ij))
         pairs.discard((i, j))
-        s = _spair_int(G[i], G[j], key)
+        s = engine.spair(G[i], G[j])
         if not s:
             continue
-        r = _reduce_int(s, views, negkey)
-        if not r:
-            continue
-        append(r)
-        pairs = _update_pairs(lms, pairs, len(G) - 1)
-
-    return [ring.from_dict(p) for p in G]
+        r, _ = engine.reduce(s, G)
+        if r:
+            append(r)
+    return GroebnerBasis(ring, _interreduce(engine, G))
 
 
-def _buchberger_field(ring, gens):
-    key = ring.key
-    negkey = negated_order_key(ring.order)
-    G = [g.monic() for g in gens]
-    lms = [g.leading_monomial() for g in G]
-    pairs = set()
-    for t in range(len(G)):
-        pairs = _update_pairs(lms, pairs, t)
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                                          key(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                                          ij))
-        pairs.discard((i, j))
-        s = s_polynomial(G[i], G[j])
-        if s.is_zero():
-            continue
-        r = _divide_by_list(s, G)
-        if r.is_zero():
-            continue
-        G.append(r.monic())
-        lms.append(r.leading_monomial())
-        pairs = _update_pairs(lms, pairs, len(G) - 1)
-    return G
+def _interreduce(engine, divisors):
+    """Minimalize, tail-reduce and make monic; yields the unique reduced basis.
 
-
-def _interreduce(ring, polys):
-    """Minimalize, tail-reduce and sort; yields the unique reduced basis."""
-    key = ring.key
-    polys = sorted((p for p in polys if not p.is_zero()),
-                   key=lambda p: key(p.leading_monomial()))
+    The result is sorted by leading monomial: each element keeps its lead.
+    """
+    key = engine.key
     minimal = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if all(monomial_div(lm, q.leading_monomial()) is None for q in minimal):
-            minimal.append(p)
+    for d in sorted(divisors, key=lambda d: key(d[0])):
+        if all(monomial_div(d[0], e[0]) is None for e in minimal):
+            minimal.append(d)
     reduced = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _divide_by_list(p, others) if others else p
-        reduced.append(r.monic())
-    reduced.sort(key=lambda p: key(p.leading_monomial()))
+    for i, (lm, _, items) in enumerate(minimal):
+        r, _ = engine.reduce(dict(items), minimal[:i] + minimal[i + 1:])
+        reduced.append(engine.polynomial(r, r[lm]))
     return reduced
 
 
@@ -419,28 +403,31 @@ def ideal_membership(g, ideal):
     basis = _as_basis(ideal)
     if not basis.polys:
         return g.is_zero()
-    return normal_form(g, basis).is_zero()
+    engine = _Engine(g.ring)
+    r, _ = engine.reduce(engine.coefficients(g)[0], _divisors(engine, g, basis))
+    return not r
 
 
 def radical_membership(g, ideal, p_max):
     """Least p <= p_max with g**p in the ideal, or None.
 
     Powers are tried in increasing order; each step reduces the previous
-    normal form times g, so intermediate degrees stay small.
+    remainder times g, so intermediate degrees stay small.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     basis = _as_basis(ideal)
     if not basis.polys:
         return 1 if g.is_zero() else None
-    r = normal_form(g, basis)
-    if r.is_zero():
-        return 1
-    for p in range(2, p_max + 1):
-        r = normal_form(r * g, basis)
-        if r.is_zero():
-            return p
-    return None
+    engine = _Engine(g.ring)
+    divisors = _divisors(engine, g, basis)
+    f = engine.coefficients(g)[0]
+    r, _ = engine.reduce(f, divisors)
+    p = 1
+    while r and p < p_max:
+        r, _ = engine.reduce(engine.mul(r, f), divisors)
+        p += 1
+    return None if r else p
 
 
 def is_zero_dimensional_affine(basis):

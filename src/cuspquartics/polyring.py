@@ -13,7 +13,6 @@ mix silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 EXPONENT_CAP = 1 << 16
 
@@ -294,10 +293,13 @@ class PolyRing:
         return PolyRing(self.variables, self.domain, order)
 
     def convert(self, f):
-        """Re-sort a polynomial from a ring differing only in term order."""
-        if f.ring.variables != self.variables or f.ring.domain != self.domain:
-            raise RingMismatchError("convert() only changes the term order")
-        return self.from_dict(dict(f.terms))
+        """The same polynomial in this ring: the variables must agree, the
+        term order may differ, and QQ coefficients may map into GF(p)."""
+        if f.ring.variables != self.variables:
+            raise RingMismatchError("convert() needs the same variables")
+        src = f.ring.domain
+        return self.from_dict({m: _convert_between(c, src, self.domain)
+                               for m, c in f.terms})
 
     def parse(self, text):
         return _parse(self, text)
@@ -744,34 +746,3 @@ def _parse(ring, text):
 def parse_polynomial(ring, text):
     """Parse text in the manifest grammar into a canonical polynomial."""
     return ring.parse(text)
-
-
-# ---------------------------------------------------------------------------
-# content helpers (used by the Groebner engine, QQ only)
-# ---------------------------------------------------------------------------
-
-def integer_content_free(f):
-    """Scale f over QQ to coprime integer coefficients with positive lead.
-
-    Returns {monomial: int}; the scaling keeps the zero set and the ideal
-    generated by f unchanged.
-    """
-    if f.ring.domain != QQ:
-        raise RingMismatchError("integer normalization needs QQ coefficients")
-    if f.is_zero():
-        return {}
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {m: int(c * den) for m, c in f.terms}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = {m: v // g for m, v in ints.items()}
-    lead = max(ints, key=f.ring.key)
-    if ints[lead] < 0:
-        ints = {m: -v for m, v in ints.items()}
-    return ints

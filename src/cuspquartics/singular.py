@@ -263,8 +263,8 @@ def cusp_divisibility_certificate(family, cusps):
         t_a = _local_linear_part(family.cubic_a, point, chart)
         t_b = _local_linear_part(family.cubic_b, point, chart)
         planes_ok = (t_a is not None and t_b is not None
-                     and linalg.rank([_linear_coeff_row(t_a),
-                                      _linear_coeff_row(t_b)]) == 2)
+                     and linalg.rank([linear_coefficients(t_a),
+                                      linear_coefficients(t_b)]) == 2)
         factor_ok = False
         scalar = None
         if planes_ok:
@@ -288,10 +288,6 @@ def cusp_divisibility_certificate(family, cusps):
         data={"cusps": list(cusps), "checks": records,
               "common_line_off_contact_quadric": line_ok},
         verified=verified)
-
-
-def _linear_coeff_row(f):
-    return linear_coefficients(f)
 
 
 def _common_line_off_quadric(family):
@@ -474,6 +470,4 @@ def _square_root_of_square_form(d):
                            for m in range(n) if mat[j][m] != 0})
     if root * root == d:
         return root
-    if root.scale(-1) * root.scale(-1) == d:
-        return root.scale(-1)
     return None

@@ -82,6 +82,14 @@ def test_nf(capsys):
     assert entry["in_ideal"] is False
 
 
+def test_nf_fractional_remainder(capsys):
+    code, report, _ = run_json(capsys, "--json", "nf", "2*x0 - 1", "x0^2 + x1")
+    assert code == 0
+    entry = next(r for r in report["results"] if r["name"] == "normal form")
+    assert entry["remainder"] == "x1 + 1/4"
+    assert entry["in_ideal"] is False
+
+
 def test_report_schema(capsys):
     code, report, _ = run_json(capsys, "verify-example", "ex62", "--json")
     assert code == 0
