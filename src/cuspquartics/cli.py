@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import codes, geometry, singular
+from . import codes, geometry, linalg, singular
 from .geometry import (
     ConfigurationType,
     DependentFormsError,
@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .groebner import Ideal, buchberger, normal_form
 from .polyring import ParseError, PolyRing, PolynomialError, QQ
-from .singular import CertificateError, SingularityKind
+from .singular import Analysis, CertificateError, SingularityKind
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -154,7 +154,7 @@ def _load_family(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read manifest: {exc}") from exc
     try:
-        return geometry.family_from_manifest(text), text
+        return geometry.family_from_manifest(text)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
     except (DependentFormsError, DegenerateConfigurationError) as exc:
@@ -164,55 +164,50 @@ def _load_family(path):
 
 
 def report_construct(path, certify, pmax):
-    family, text = _load_family(path)
+    family = _load_family(path)
+    analysis = Analysis(family, pmax)
     report = _new_report("construct", {"manifest": path, "pmax": pmax})
     _info(report, "quartic", polynomial=str(family.quartic))
-    config = geometry.classify_configuration(*family.forms())
+    search = analysis.search
+    config = search.configuration
     _info(report, "configuration", type=config.kind.value,
           vertex=str(config.vertex) if config.vertex else None)
-    search = geometry.cusp_candidates(family, config)
     _info(report, "cusp candidates", points=[str(p) for p in search.points],
           unresolved=[str(u) for u in search.unresolved])
     if search.lines:
         _info(report, "carrier lines", lines=[str(l) for l in search.lines])
     if certify:
-        _run_certificates(report, family, search, pmax)
+        _run_certificates(report, analysis)
     return report
 
 
 def report_cusps(path):
-    family, _ = _load_family(path)
+    analysis = Analysis(_load_family(path))
     report = _new_report("cusps", {"manifest": path})
-    config = geometry.classify_configuration(*family.forms())
-    search = geometry.cusp_candidates(family, config)
-    _info(report, "configuration", type=config.kind.value)
+    search = analysis.search
+    _info(report, "configuration", type=search.configuration.kind.value)
     _info(report, "cusp candidates", points=[str(p) for p in search.points],
           unresolved=[str(u) for u in search.unresolved])
     for point in search.points:
-        verdict = singular.classify(family.quartic, point)
-        _info(report, f"classification {point}", kind=verdict.kind.value)
+        _info(report, f"classification {point}",
+              kind=analysis.verdict(point).kind.value)
     return report
 
 
-def _run_certificates(report, family, search, pmax):
-    basis = buchberger(singular.jacobian_ideal(family.quartic))
-    _info(report, "jacobian groebner basis", size=len(basis))
-    named = (("q12", family.q12), ("q21", family.q21), ("q22", family.q22),
-             ("contact quadric", family.contact_quadric))
-    for label, g in named:
-        cert = singular.singular_locus_contained_in(family.quartic, g, pmax, basis)
-        _add(report, f"singular locus inside {label}", cert.verified,
-             exponent=cert.data["exponent"])
-    all_a2 = True
-    for point in search.points:
-        verdict = singular.classify(family.quartic, point)
-        ok = verdict.kind is SingularityKind.A2
-        all_a2 = all_a2 and ok
-        _add(report, f"cusp {point}", ok, kind=verdict.kind.value)
-    if all_a2 and search.points:
-        cert = singular.cusp_divisibility_certificate(family, search.points)
-        _add(report, "three-divisibility certificate", cert.verified)
-        full = singular.singular_set_certificate(family, search, pmax, basis)
+def _run_certificates(report, analysis):
+    _info(report, "jacobian groebner basis", size=len(analysis.basis))
+    for label, cert in analysis.containment.items():
+        _add(report, f"singular locus inside {label.replace('_', ' ')}",
+             cert.verified, exponent=cert.data["exponent"])
+    points = analysis.search.points
+    verdicts = [analysis.verdict(p) for p in points]
+    for point, verdict in zip(points, verdicts):
+        _add(report, f"cusp {point}", verdict.kind is SingularityKind.A2,
+             kind=verdict.kind.value)
+    if points and all(v.kind is SingularityKind.A2 for v in verdicts):
+        _add(report, "three-divisibility certificate",
+             analysis.divisibility_certificate(points).verified)
+        full = analysis.singular_set_certificate()
         _add(report, "no extra singularities", full.verified,
              exponents=full.data["exponents"])
 
@@ -285,10 +280,10 @@ def _verify_twisted_cubic(pmax):
         family.contact_quadric, family.q12, family.q21, family.q22)
     _add(report, "determinantal equation agrees with exact division",
          det_route == family.quartic)
-    config = geometry.classify_configuration(*family.forms())
+    analysis = Analysis(family, pmax)
+    search = analysis.search
     _add(report, "configuration is type I",
-         config.kind is ConfigurationType.TWISTED_CUBIC)
-    search = geometry.cusp_candidates(family, config)
+         search.configuration.kind is ConfigurationType.TWISTED_CUBIC)
     expected = sorted(ProjectivePoint((j * j, s * j, s * j ** 3, 1))
                       for j in (1, 2, 3) for s in (1, -1))
     _add(report, "six rational cusps found",
@@ -300,8 +295,8 @@ def _verify_twisted_cubic(pmax):
          not extra and root_set == {(Fraction(t), Fraction(1))
                                     for t in (1, -1, 2, -2, 3, -3)})
     _report_printed_coordinate_warning(report, family)
-    _common_cusp_checks(report, family, search)
-    _run_certificates(report, family, search, pmax)
+    _common_cusp_checks(report, analysis)
+    _run_certificates(report, analysis)
     return report
 
 
@@ -323,17 +318,16 @@ def _report_printed_coordinate_warning(report, family):
               failing_printed_points=bad)
 
 
-def _common_cusp_checks(report, family, search):
-    kinds = [singular.classify(family.quartic, p) for p in search.points]
+def _common_cusp_checks(report, analysis):
+    points = analysis.search.points
+    kinds = [analysis.verdict(p) for p in points]
     _add(report, "every cusp classifies as A2",
          all(v.kind is SingularityKind.A2 for v in kinds),
          verdicts=[v.kind.value for v in kinds])
     _add(report, "contact surfaces meet transversally at every cusp",
-         all(singular.transversal_at(family.cubic_a, family.cubic_b,
-                                     family.contact_quadric, p)
-             for p in search.points))
+         all(analysis.transversal(p) for p in points))
     _add(report, "residual quadric vanishes at no cusp",
-         all(family.residual.evaluate(p.coords) != 0 for p in search.points))
+         all(analysis.family.residual.evaluate(p.coords) != 0 for p in points))
 
 
 def _verify_concurrent_lines(pmax):
@@ -345,7 +339,9 @@ def _verify_concurrent_lines(pmax):
          family.residual == x3 * x3 - x2 * x2 - x0 * x1)
     _add(report, "contact quadric is x3^2 - x2^2",
          family.contact_quadric == x3 * x3 - x2 * x2)
-    config = geometry.classify_configuration(*family.forms())
+    analysis = Analysis(family, pmax)
+    search = analysis.search
+    config = search.configuration
     vertex_ok = (config.kind is ConfigurationType.CONCURRENT_LINES
                  and config.vertex == ProjectivePoint((0, 0, 0, 1)))
     _add(report, "configuration is type II with vertex (0:0:0:1)", vertex_ok,
@@ -353,7 +349,6 @@ def _verify_concurrent_lines(pmax):
     _add(report, "vertex does not lie on the quartic",
          family.quartic.evaluate(config.vertex.coords) != 0,
          value=str(family.quartic.evaluate(config.vertex.coords)))
-    search = geometry.cusp_candidates(family, config)
     expected_lines = tuple(
         (str(x0 - x2 * j), str(x1 - x2 * (j * j))) for j in (1, 2, 3))
     got_lines = tuple(tuple(str(f) for f in line.equations)
@@ -365,8 +360,8 @@ def _verify_concurrent_lines(pmax):
     _add(report, "six rational cusps (j : j^2 : 1 : +-1)",
          list(search.points) == expected and not search.unresolved,
          points=[str(p) for p in search.points])
-    _common_cusp_checks(report, family, search)
-    _run_certificates(report, family, search, pmax)
+    _common_cusp_checks(report, analysis)
+    _run_certificates(report, analysis)
     return report
 
 
@@ -377,17 +372,19 @@ def _verify_eight_cusp(k):
         raise PreconditionError("the eight-cusp family needs k != 0")
     surface = geometry.eight_cusp_quartic(k)
     points = geometry.eight_cusp_points()
+    local = [singular.LocalData(surface, p) for p in points]
     _add(report, "all eight points lie on the surface",
-         all(surface.evaluate(p.coords) == 0 for p in points))
+         all(data.value == 0 for data in local))
     _add(report, "all eight points are singular",
-         all(singular.is_singular_point(surface, p) for p in points))
-    verdicts = [singular.classify(surface, p) for p in points]
+         all(not any(data.gradient) for data in local))
+    verdicts = [data.verdict for data in local]
     _info(report, "classification verdicts",
           verdicts={str(p): v.kind.value for p, v in zip(points, verdicts)})
     a1_points = [str(p) for p, v in zip(points, verdicts)
                  if v.kind is SingularityKind.A1]
     if a1_points:
-        det_value = _corner_quadratic_determinant(surface)
+        det_value = _corner_quadratic_determinant(
+            local[points.index(ProjectivePoint((1, 0, 0, 0)))])
         formula = -(k / 2) * (1 + k) ** 2 * (1 - k) ** 6
         _warn(report,
               "the printed polynomial makes the coordinate points ordinary "
@@ -419,11 +416,9 @@ def _verify_eight_cusp(k):
     return report
 
 
-def _corner_quadratic_determinant(surface):
+def _corner_quadratic_determinant(corner):
     """det of the local quadratic form at (1:0:0:0), an exact cross-check."""
-    from . import linalg
-    _, pieces = singular.local_expansion(surface, ProjectivePoint((1, 0, 0, 0)))
-    return linalg.det(singular.quadratic_form_matrix(pieces[2]))
+    return linalg.det(singular.quadratic_form_matrix(corner.piece(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 
 from . import linalg
@@ -68,10 +69,6 @@ class ProjectivePoint:
         lead = next(c for c in coords if c != 0)
         self.coords = tuple(c / lead for c in coords)
 
-    @property
-    def dim(self):
-        return len(self.coords)
-
     def integer_coords(self):
         return linalg.primitive_integer_vector(list(self.coords))
 
@@ -117,6 +114,10 @@ class Line:
         """Points s*A + t*B with exact scalars."""
         a, b = self.point_a.coords, self.point_b.coords
         return tuple(Fraction(s) * x + Fraction(t) * y for x, y in zip(a, b))
+
+    def restrict(self, f):
+        """f along the line: the binary form f(t0*A + t1*B)."""
+        return restrict_to_line(f, self.point_a.coords, self.point_b.coords)
 
     def __str__(self):
         return "{ " + " = ".join(str(f) for f in self.equations) + " = 0 }"
@@ -181,6 +182,12 @@ def _require_quadric(f, label, allow_zero=False):
         raise GeometryError(f"{label} must be a nonzero quadric")
     if f.degree() != 2 or not f.is_homogeneous():
         raise GeometryError(f"{label} must be homogeneous of degree 2")
+
+
+def restrict_to_line(f, a, b):
+    """The binary form f(t0*a + t1*b) in the parameter ring."""
+    t0, t1 = param_ring().gens()
+    return f.substitute([t0 * x + t1 * y for x, y in zip(a, b)])
 
 
 def linear_coefficients(f):
@@ -284,16 +291,10 @@ def _uni_divmod(a, b):
 
 
 def _divisors(n):
+    """The positive divisors of |n| in increasing order ([] for 0)."""
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d <= isqrt(n):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _uni_eval(c, x):
@@ -470,20 +471,12 @@ def cone_lines(q12, q21, q22, vertex, slice_form=None):
         point = ProjectivePoint(coords)
         line = Line.through(vertex, point, ring)
         for q in (q12, q21, q22):
-            if not _vanishes_on_line(q, line):
+            if not line.restrict(q).is_zero():
                 raise AssertionError("internal error: slice point spans a line "
                                      "not contained in the cone")
         lines.append(line)
     lines.sort(key=lambda l: tuple(l.point_b.coords))
     return tuple(lines), tuple(unresolved)
-
-
-def _vanishes_on_line(f, line):
-    pring = param_ring()
-    t0, t1 = pring.gens()
-    images = [t0 * a + t1 * b
-              for a, b in zip(line.point_a.coords, line.point_b.coords)]
-    return f.substitute(images).is_zero()
 
 
 def _projective_plane_solutions(polys, zring):
@@ -498,9 +491,10 @@ def _projective_plane_solutions(polys, zring):
     unresolved += extra
     # chart z0 = 0, z1 = 1
     uni = [p.substitute((zring.zero(), one, z2)) for p in polys]
-    sols1, extra1 = _common_univariate_roots(uni, 2)
-    points += [(Fraction(0), Fraction(1), r) for r in sols1]
-    unresolved += extra1
+    uni = [_dense_in_var(p, 2) for p in uni if not p.is_zero()]
+    if not uni:
+        raise InfiniteIntersectionError("slice system vanishes identically")
+    points += [(Fraction(0), Fraction(1), r) for r in _gcd_roots(uni, unresolved)]
     # the point (0 : 0 : 1)
     if all(p.evaluate((0, 0, 1)) == 0 for p in polys):
         points.append((Fraction(0), Fraction(0), Fraction(1)))
@@ -518,21 +512,12 @@ def _affine_plane_solutions(polys, zring, var_indices):
     basis = buchberger(Ideal(nonzero))
     if any(sum(g.leading_monomial()) == 0 for g in basis):
         return [], []
-    eliminant = None
-    for g in basis.polys:
-        if all(m[i1] == 0 for m, _ in g.terms):
-            eliminant = [Fraction(0)] * (g.degree() + 1)
-            for m, c in g.terms:
-                eliminant[m[i2]] = c
-            break
+    eliminant = next((_dense_in_var(g, i2) for g in basis.polys
+                      if all(m[i1] == 0 for m, _ in g.terms)), None)
     if eliminant is None:
         raise GeometryError("slice system is not zero-dimensional")
-    roots2, rest2 = _strip_rational_roots(eliminant)
-    unresolved = []
-    if len(rest2) > 1:
-        unresolved.append(_univariate_poly(rest2, "w"))
-    solutions = []
-    for r2 in dict.fromkeys(roots2):
+    unresolved, solutions = [], []
+    for r2 in _gcd_roots([eliminant], unresolved):
         subs_images = list(zring.gens())
         subs_images[i2] = zring.constant(r2)
         reduced1 = []
@@ -540,35 +525,20 @@ def _affine_plane_solutions(polys, zring, var_indices):
             h = g.substitute(tuple(subs_images))
             if not h.is_zero():
                 reduced1.append(_dense_in_var(h, i1))
-        if not reduced1:
-            raise GeometryError("slice system is not zero-dimensional")
-        g1 = reduced1[0]
-        for other in reduced1[1:]:
-            g1 = _uni_gcd(g1, other)
-        if len(g1) == 0:
-            raise GeometryError("slice system is not zero-dimensional")
-        roots1, rest1 = _strip_rational_roots(g1)
-        if len(rest1) > 1:
-            unresolved.append(_univariate_poly(rest1, "w"))
-        for r1 in dict.fromkeys(roots1):
-            solutions.append((r1, r2))
+        solutions += [(r1, r2) for r1 in _gcd_roots(reduced1, unresolved)]
     return solutions, unresolved
 
 
-def _common_univariate_roots(polys, var_index):
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        raise InfiniteIntersectionError("slice system vanishes identically")
-    g = _dense_in_var(nonzero[0], var_index)
-    for p in nonzero[1:]:
-        g = _uni_gcd(g, _dense_in_var(p, var_index))
-    if len(g) == 0:
+def _gcd_roots(dense, unresolved):
+    """Distinct rational roots of the gcd of dense univariate polynomials; a
+    root-free rest of positive degree is appended to ``unresolved``."""
+    g = reduce(_uni_gcd, dense) if dense else []
+    if not g:
         raise GeometryError("slice system is not zero-dimensional")
     roots, rest = _strip_rational_roots(g)
-    unresolved = []
     if len(rest) > 1:
         unresolved.append(_univariate_poly(rest, "w"))
-    return list(dict.fromkeys(roots)), unresolved
+    return list(dict.fromkeys(roots))
 
 
 def _dense_in_var(poly, var_index):
@@ -600,13 +570,9 @@ def _cusps_concurrent_lines(family, config, slice_form):
     lines, unresolved = cone_lines(family.q12, family.q21, family.q22,
                                    config.vertex, slice_form)
     unresolved = list(unresolved)
-    pring = param_ring()
-    t0, t1 = pring.gens()
     points = []
     for line in lines:
-        images = [t0 * a + t1 * b
-                  for a, b in zip(line.point_a.coords, line.point_b.coords)]
-        restricted = family.contact_quadric.substitute(images)
+        restricted = line.restrict(family.contact_quadric)
         if restricted.is_zero():
             raise InfiniteIntersectionError(
                 "the contact quadric contains a line of the carrier cone")

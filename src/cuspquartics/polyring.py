@@ -176,10 +176,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(m):
-    return sum(m)
-
-
 def order_key(order):
     """Sort key for an order name; larger key = larger monomial."""
     if order == "lex":
@@ -302,7 +298,7 @@ class PolyRing:
                                for m, c in f.terms})
 
     def parse(self, text):
-        return _parse(self, text)
+        return _Parser(self, text).parse()
 
 
 class Polynomial:
@@ -737,12 +733,3 @@ class _Parser:
                 return v ** e
             return v
         raise ParseError(f"expected variable or '(', found {tok[1]!r}", tok[2])
-
-
-def _parse(ring, text):
-    return _Parser(ring, text).parse()
-
-
-def parse_polynomial(ring, text):
-    """Parse text in the manifest grammar into a canonical polynomial."""
-    return ring.parse(text)

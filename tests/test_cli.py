@@ -267,3 +267,62 @@ def test_cli_import_does_not_load_numpy():
          "import cuspquartics.cli, sys; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
+                                                        monkeypatch):
+    from collections import Counter
+
+    from cuspquartics import geometry, singular
+    from cuspquartics.polyring import Polynomial
+
+    path = tmp_path / "fam.txt"
+    path.write_text(EX61_MANIFEST)
+    quartic = geometry.family_from_manifest(EX61_MANIFEST).quartic
+    local_data, memberships, partials = Counter(), [], []
+
+    original_init = singular.LocalData.__init__
+    def counting_init(self, f, point, chart=None):
+        local_data[(f, point)] += 1
+        original_init(self, f, point, chart)
+
+    original_membership = singular.radical_membership
+    def counting_membership(*args):
+        memberships.append(args[0])
+        return original_membership(*args)
+
+    original_partial = Polynomial.partial_derivative
+    def counting_partial(self, var):
+        if self == quartic:
+            partials.append(var)
+        return original_partial(self, var)
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("local_expansion on a CLI path")
+
+    monkeypatch.setattr(singular.LocalData, "__init__", counting_init)
+    monkeypatch.setattr(singular, "radical_membership", counting_membership)
+    monkeypatch.setattr(Polynomial, "partial_derivative", counting_partial)
+    monkeypatch.setattr(singular, "local_expansion", no_expansion)
+    code, report, _ = run_json(capsys, "--json", "construct", str(path),
+                               "--certify")
+    assert code == 0 and report["verified"]
+    cusps = {p for (f, p) in local_data if f == quartic}
+    assert len(cusps) == 6
+    assert set(local_data.values()) == {1}
+    assert len(memberships) == 4
+    assert sorted(partials) == [0, 1, 2, 3]
+
+
+def test_barth_reads_local_data_not_expansion(capsys, monkeypatch):
+    from cuspquartics import singular
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("local_expansion on a CLI path")
+
+    monkeypatch.setattr(singular, "local_expansion", no_expansion)
+    code, report, _ = run_json(capsys, "--json", "verify-example", "barth",
+                               "--k", "-7/5")
+    assert code == 0
+    warning = next(w for w in report["warnings"] if "determinant_at_1000" in w)
+    assert warning["formulas_agree"] is True

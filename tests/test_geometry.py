@@ -362,3 +362,20 @@ R = 49*x1^2 + x2^2 - 36*x3^2 - 14*x0^2 - x0*x1
 """
     family = family_from_manifest(text)
     assert family == twisted_cubic_example()
+
+
+def test_divisors_match_brute_force():
+    from cuspquartics.geometry import _divisors
+
+    assert _divisors(0) == []
+    for n in range(1, 2001):
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == expected
+        assert _divisors(-n) == expected
+    # products of large primes, squares included, far beyond brute force
+    for p, q in ((10007, 10009), (99991, 100003), (1000003, 1000033)):
+        assert _divisors(p * q) == [1, p, q, p * q]
+        assert _divisors(-p * q) == [1, p, q, p * q]
+        assert _divisors(p * p) == [1, p, p * p]
+    assert _divisors(7919 * 7919 * 10007) == [
+        1, 7919, 10007, 7919 ** 2, 7919 * 10007, 7919 ** 2 * 10007]

@@ -1,15 +1,23 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cuspquartics import linalg
-from cuspquartics.geometry import ProjectivePoint, surface_ring
+from cuspquartics.geometry import (
+    ProjectivePoint,
+    build_family,
+    cusp_candidates,
+    surface_ring,
+)
 from cuspquartics.groebner import buchberger, ideal_membership
 from cuspquartics.polyring import PolyRing, QQ
 from cuspquartics.singular import (
     CertificateError,
+    LocalData,
     SingularityKind,
+    SingularityVerdict,
     classify,
     cusp_divisibility_certificate,
     forms_through_points,
@@ -236,3 +244,153 @@ def test_quadratic_form_matrix(affine3):
     x, y, z = affine3.gens()
     a = quadratic_form_matrix(x * y + z ** 2)
     assert a == [[0, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the derivative route against the substitution route (local_expansion)
+# ---------------------------------------------------------------------------
+
+def classify_by_expansion(f, point, chart=None):
+    """Classification read from local_expansion's pieces, the oracle."""
+    chart, pieces = local_expansion(f, point, chart)
+    if 0 in pieces:
+        raise ValueError("the point does not lie on the surface")
+    if 1 in pieces:
+        return SingularityVerdict(point, SingularityKind.SMOOTH, chart,
+                                  None, None, None)
+    n = f.ring.nvars - 1 if isinstance(point, ProjectivePoint) else f.ring.nvars
+    if 2 not in pieces:
+        return SingularityVerdict(point, SingularityKind.CORANK_GE2, chart,
+                                  0, None, None)
+    a = quadratic_form_matrix(pieces[2])
+    rank = linalg.rank(a)
+    if rank == n:
+        return SingularityVerdict(point, SingularityKind.A1, chart, rank,
+                                  None, None)
+    if rank == n - 1:
+        direction = linalg.primitive_integer_vector(linalg.nullspace(a)[0])
+        cubic = pieces[3].evaluate(direction) if 3 in pieces else Fraction(0)
+        kind = SingularityKind.A2 if cubic != 0 else SingularityKind.AT_LEAST_A3
+        return SingularityVerdict(point, kind, chart, rank, direction, cubic)
+    return SingularityVerdict(point, SingularityKind.CORANK_GE2, chart, rank,
+                              None, None)
+
+
+def _random_form(rng, ring, degree, variables):
+    """Random rational form of the given degree in the listed variables."""
+    acc = {}
+    for m in product(range(degree + 1), repeat=len(variables)):
+        if sum(m) == degree and rng.random() < 0.6:
+            exps = [0] * ring.nvars
+            for v, e in zip(variables, m):
+                exps[v] = e
+            acc[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return ring.from_dict(acc)
+
+
+def _planted_quartic(rng, ring, kind):
+    """A quartic g with the given local type at (0:0:0:1), moved by a random
+    integer coordinate change: returns (f, point) with f(x) = g(Mx) and
+    M point = (0:0:0:1)."""
+    u0, u1, u2, u3 = ring.gens()
+    a, b, c = (Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+               for _ in range(3))
+    cubic = _random_form(rng, ring, 3, (0, 1, 2))
+    cubic = cubic - ring.monomial((0, 0, 3, 0), cubic.coefficient((0, 0, 3, 0)))
+    linear = ring.zero()
+    quad = {"smooth": a * u0 * u0 + u1 * u2, "A1": a * u0 * u0 + b * u1 * u1 + c * u2 * u2,
+            "A2": a * u0 * u0 + b * u1 * u1, "at-least-A3": a * u0 * u1,
+            "corank>=2": a * u0 * u0}[kind]
+    if kind == "smooth":
+        linear = u0 * b + u2 * c
+    if kind == "A2":
+        cubic = cubic + ring.monomial((0, 0, 3, 0), c)
+    g = (linear * u3 ** 3 + quad * u3 * u3 + cubic * u3
+         + _random_form(rng, ring, 4, (0, 1, 2)))
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if linalg.det(m) != 0:
+            break
+    images = [sum((ring.gen(j) * m[i][j] for j in range(4)), ring.zero())
+              for i in range(4)]
+    point = ProjectivePoint([row[3] for row in linalg.inverse(m)])
+    return g.substitute(images), point
+
+
+def test_derivative_classification_matches_expansion(ring, affine3, make_rng):
+    rng = make_rng(505)
+    y0, y1, y2 = affine3.gens()
+    seen_kinds, negative_chart, fractional = set(), False, False
+    for _ in range(4):
+        for kind in ("smooth", "A1", "A2", "at-least-A3", "corank>=2"):
+            f, point = _planted_quartic(rng, ring, kind)
+            assert f.evaluate(point.coords) == 0
+            fractional |= any(c.denominator != 1 for c in point.coords)
+            charts = [None] + [c for c in range(4) if point.coords[c] != 0]
+            for chart in charts:
+                verdict = classify(f, point, chart)
+                assert verdict == classify_by_expansion(f, point, chart)
+                assert verdict.kind.value == kind
+                negative_chart |= point.integer_coords()[verdict.chart] < 0
+                local = LocalData(f, point, chart)
+                _, pieces = local_expansion(f, point, chart)
+                assert local.piece(1) == pieces.get(1)
+                assert local.piece(2) == pieces.get(2)
+            seen_kinds.add(kind)
+            # affine input: the same surface in the chart x3 = 1
+            x3 = point.coords[3]
+            if x3 != 0:
+                f_aff = f.substitute([y0, y1, y2, affine3.one()])
+                at = tuple(c / x3 for c in point.coords[:3])
+                verdict = classify(f_aff, at)
+                assert verdict == classify_by_expansion(f_aff, at)
+                assert verdict.kind.value == kind
+                _, pieces = local_expansion(f_aff, at)
+                assert LocalData(f_aff, at).piece(2) == pieces.get(2)
+    assert len(seen_kinds) == 5 and negative_chart and fractional
+
+
+def test_derivative_classification_rejects_like_expansion(ring, ex61_family):
+    x0 = ring.gen(0)
+    for bad in ((ex61_family.quartic, ProjectivePoint((1, 0, 0, 0)), None),
+                (ex61_family.quartic, ProjectivePoint((0, 0, 6, 1)), 0),
+                (x0 ** 2 + x0, ProjectivePoint((0, 1, 0, 0)), None),
+                (ex61_family.quartic, (0, 0, 0), None)):
+        with pytest.raises(ValueError):
+            classify(*bad)
+        with pytest.raises(ValueError):
+            classify_by_expansion(*bad)
+
+
+def _moved_family(family, rng):
+    """The family in random integer coordinates (its cusps move along)."""
+    ring = family.ring
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        if linalg.det(m) != 0:
+            break
+    images = [sum((ring.gen(j) * m[i][j] for j in range(4)), ring.zero())
+              for i in range(4)]
+    forms = [f.substitute(images) for f in
+             (family.lp, family.lpp, family.fp, family.fpp, family.residual)]
+    return build_family(*forms)
+
+
+def test_divisibility_records_match_expansion(ex61_family, ex62_family, make_rng):
+    rng = make_rng(506)
+    families = [ex61_family, ex62_family]
+    families += [_moved_family(f, rng) for f in (ex61_family, ex62_family)]
+    for family in families:
+        search = cusp_candidates(family)
+        assert len(search.points) == 6
+        cert = cusp_divisibility_certificate(family, search.points)
+        assert cert.verified
+        for point, record in zip(search.points, cert.data["checks"]):
+            chart = classify_by_expansion(family.quartic, point).chart
+            t_a = local_expansion(family.cubic_a, point, chart)[1][1]
+            t_b = local_expansion(family.cubic_b, point, chart)[1][1]
+            q2 = local_expansion(family.quartic, point, chart)[1][2]
+            scalar = q2.leading_coefficient() / (t_a * t_b).leading_coefficient()
+            assert (record["chart"], record["tangent_a"], record["tangent_b"],
+                    record["tangent_scalar"]) == (chart, t_a, t_b, scalar)
+            assert (t_a * t_b).scale(scalar) == q2
