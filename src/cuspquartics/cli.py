@@ -96,8 +96,11 @@ def _render(report, as_json, stream=None):
 
 
 def _ring_from(names, order):
-    return PolyRing(tuple(n.strip() for n in names.split(",") if n.strip()),
-                    QQ, order)
+    try:
+        return PolyRing(tuple(n.strip() for n in names.split(",") if n.strip()),
+                        QQ, order)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _parse_generators(text, ring):
@@ -534,6 +537,8 @@ def _dispatch(args):
                 q, d, r = (int(v) for v in claim.replace(",", " ").split())
             except ValueError as exc:
                 raise InputError(f"bad griesmer claim {claim!r}") from exc
+            if min(q, d, r) < 1:
+                raise InputError(f"bad griesmer claim {claim!r}")
             claims.append((q, d, r))
         return report_code(args.length, args.generators, claims)
     if args.subcommand == "enumerate-sets":

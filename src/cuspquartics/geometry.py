@@ -5,7 +5,9 @@ over a residual quadric, the three quadrics cutting the degree-3 carrier
 curve, the quartic itself (by exact division and by the 2x2 determinant,
 which agree identically), configuration classification, cusp search with
 exact rational root extraction, parameter changes of the carrier curve, and
-the classical eight-cusp quartic family.
+the classical eight-cusp quartic family.  Both configuration types find
+their carrier on the twisted cubic (t0^2 t1, t0 t1^2, t0^3, t1^3), the
+rank-one locus of the three quadrics in the coordinates (lp, lpp, fp, fpp).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt
 
 from . import linalg
@@ -273,23 +274,6 @@ def _uni_trim(c):
     return c
 
 
-def _uni_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _uni_trim(a):
-        if len(a) < len(b):
-            break
-        f = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        a.pop()
-        _uni_trim(a)
-    return _uni_trim(q), _uni_trim(a)
-
-
 def _divisors(n):
     """The positive divisors of |n| in increasing order ([] for 0)."""
     n = abs(n)
@@ -330,14 +314,21 @@ def _uni_rational_roots(coeffs):
     return roots
 
 
+def _deflate(c, r):
+    """The quotient of c by (x - r) for a root r (synthetic division)."""
+    q = [c[-1]]
+    for k in reversed(c[1:-1]):
+        q.append(k + r * q[-1])
+    return q[::-1]
+
+
 def _strip_rational_roots(coeffs):
     """Divide out every rational root; returns (roots with multiplicity, rest)."""
     c = _uni_trim([Fraction(x) for x in coeffs])
     found = []
     for r in _uni_rational_roots(c):
         while len(c) > 1 and _uni_eval(c, r) == 0:
-            c, rem = _uni_divmod(c, [-r, Fraction(1)])
-            assert not rem
+            c = _deflate(c, r)
             found.append(r)
     return found, c
 
@@ -404,11 +395,16 @@ def _verify_on_curve(family, point):
 def cusp_candidates(family, config=None, slice_form=None):
     """Exact intersection of the contact quadric with the carrier curve.
 
-    Type I: pull the quadric back along the twisted-cubic parametrization
-    (after the linear change sending (lp, lpp, fp, fpp) to the coordinates)
-    and read off rational roots of the resulting binary sextic.  Type II:
-    slice the cone to find its lines, then intersect each line with the
-    quadric.  Irrational intersections stay symbolic in ``unresolved``.
+    Type I: the four forms are coordinates on P^3, in which the carrier is
+    the twisted cubic; pull the quadric back along its parametrization and
+    read off the rational roots of the resulting binary sextic.  Type II: the forms map
+    P^3 from the vertex onto a plane, which meets the twisted cubic in the
+    roots of a binary cubic; each rational root spans a carrier line with
+    the vertex, and each line is intersected with the quadric.  A line's
+    second spanning point is where it meets ``slice_form`` (default: the
+    coordinate hyperplane of the vertex's leading nonzero coordinate), which
+    fixes the line order.  Irrational roots stay symbolic in ``unresolved``
+    as binary forms in t0, t1.
     """
     if config is None:
         config = classify_configuration(*family.forms())
@@ -442,133 +438,37 @@ def _cusps_twisted_cubic(family, config):
     return CuspSearch(tuple(points), unresolved, config, binary_form=binary)
 
 
-def cone_lines(q12, q21, q22, vertex, slice_form=None):
-    """Rational lines of the cone cut by the three quadrics.
-
-    The cone is sliced with a hyperplane missing the vertex (default: the
-    coordinate hyperplane x_i = 0 where i is the vertex's leading nonzero
-    coordinate); each rational point of the zero-dimensional slice spans a
-    line with the vertex.  Returns (lines, unresolved factors).
-    """
-    ring = q12.ring
+def _cusps_concurrent_lines(family, config, slice_form):
+    # (lp, lpp, fp, fpp) has rank 3: its kernel is the vertex and its image
+    # the plane c.y = 0, so the carrier lines lie over the roots of c.phi(t)
+    ring = family.ring
+    vertex = config.vertex
     if slice_form is None:
         lead = next(i for i, c in enumerate(vertex.coords) if c != 0)
         slice_form = ring.gen(lead)
-    if slice_form.evaluate(vertex.coords) == 0:
+    at_vertex = slice_form.evaluate(vertex.coords)
+    if at_vertex == 0:
         raise GeometryError("slice hyperplane passes through the vertex")
-    plane_basis = linalg.nullspace([linear_coefficients(slice_form)])
-    zring = PolyRing(("z0", "z1", "z2"), QQ, "lex")
-    zgens = zring.gens()
-    embed = []
-    for i in range(4):
-        embed.append(sum((zgens[k] * plane_basis[k][i] for k in range(3)),
-                         zring.zero()))
-    restricted = [q.substitute(embed) for q in (q12, q21, q22)]
-    sols, unresolved = _projective_plane_solutions(restricted, zring)
+    rows = [linear_coefficients(f) for f in family.forms()]
+    c = linalg.primitive_integer_vector(linalg.nullspace(list(zip(*rows)))[0])
+    phi = twisted_cubic_map()
+    cubic = sum((p * k for p, k in zip(phi, c)), phi[0].ring.zero())
+    if cubic.leading_coefficient() < 0:  # a canonical sign for unresolved
+        cubic = -cubic
+    roots, unresolved = binary_form_roots(cubic)
     lines = []
-    for z in sols:
-        coords = [sum(plane_basis[k][i] * z[k] for k in range(3)) for i in range(4)]
-        point = ProjectivePoint(coords)
+    for tau in roots:
+        x = linalg.solve(rows, [p.evaluate(tau) for p in phi])
+        # the line's second point is where it meets the slice hyperplane
+        s = slice_form.evaluate(x) / at_vertex
+        point = ProjectivePoint([a - s * b for a, b in zip(x, vertex.coords)])
         line = Line.through(vertex, point, ring)
-        for q in (q12, q21, q22):
+        for q in (family.q12, family.q21, family.q22):
             if not line.restrict(q).is_zero():
-                raise AssertionError("internal error: slice point spans a line "
-                                     "not contained in the cone")
+                raise AssertionError("internal error: a carrier line is not "
+                                     "contained in the cone")
         lines.append(line)
-    lines.sort(key=lambda l: tuple(l.point_b.coords))
-    return tuple(lines), tuple(unresolved)
-
-
-def _projective_plane_solutions(polys, zring):
-    """Rational projective solutions of homogeneous equations in P^2."""
-    points, unresolved = [], []
-    z0, z1, z2 = zring.gens()
-    one = zring.one()
-    # chart z0 = 1
-    aff = [p.substitute((one, z1, z2)) for p in polys]
-    sols, extra = _affine_plane_solutions(aff, zring, (1, 2))
-    points += [(Fraction(1), a, b) for a, b in sols]
-    unresolved += extra
-    # chart z0 = 0, z1 = 1
-    uni = [p.substitute((zring.zero(), one, z2)) for p in polys]
-    uni = [_dense_in_var(p, 2) for p in uni if not p.is_zero()]
-    if not uni:
-        raise InfiniteIntersectionError("slice system vanishes identically")
-    points += [(Fraction(0), Fraction(1), r) for r in _gcd_roots(uni, unresolved)]
-    # the point (0 : 0 : 1)
-    if all(p.evaluate((0, 0, 1)) == 0 for p in polys):
-        points.append((Fraction(0), Fraction(0), Fraction(1)))
-    return points, unresolved
-
-
-def _affine_plane_solutions(polys, zring, var_indices):
-    """Solve a zero-dimensional system in two affine variables."""
-    from .groebner import Ideal, buchberger
-
-    i1, i2 = var_indices
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        raise InfiniteIntersectionError("slice system vanishes identically")
-    basis = buchberger(Ideal(nonzero))
-    if any(sum(g.leading_monomial()) == 0 for g in basis):
-        return [], []
-    eliminant = next((_dense_in_var(g, i2) for g in basis.polys
-                      if all(m[i1] == 0 for m, _ in g.terms)), None)
-    if eliminant is None:
-        raise GeometryError("slice system is not zero-dimensional")
-    unresolved, solutions = [], []
-    for r2 in _gcd_roots([eliminant], unresolved):
-        subs_images = list(zring.gens())
-        subs_images[i2] = zring.constant(r2)
-        reduced1 = []
-        for g in basis.polys:
-            h = g.substitute(tuple(subs_images))
-            if not h.is_zero():
-                reduced1.append(_dense_in_var(h, i1))
-        solutions += [(r1, r2) for r1 in _gcd_roots(reduced1, unresolved)]
-    return solutions, unresolved
-
-
-def _gcd_roots(dense, unresolved):
-    """Distinct rational roots of the gcd of dense univariate polynomials; a
-    root-free rest of positive degree is appended to ``unresolved``."""
-    g = reduce(_uni_gcd, dense) if dense else []
-    if not g:
-        raise GeometryError("slice system is not zero-dimensional")
-    roots, rest = _strip_rational_roots(g)
-    if len(rest) > 1:
-        unresolved.append(_univariate_poly(rest, "w"))
-    return list(dict.fromkeys(roots))
-
-
-def _dense_in_var(poly, var_index):
-    coeffs = [Fraction(0)] * (poly.degree() + 1)
-    for m, c in poly.terms:
-        if any(e != 0 for i, e in enumerate(m) if i != var_index):
-            raise ValueError("polynomial is not univariate in the given variable")
-        coeffs[m[var_index]] = c
-    return _uni_trim(coeffs)
-
-
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _univariate_poly(coeffs, name):
-    ring = PolyRing((name,), QQ, "lex")
-    return ring.from_dict({(i,): c for i, c in enumerate(coeffs)})
-
-
-def _cusps_concurrent_lines(family, config, slice_form):
-    lines, unresolved = cone_lines(family.q12, family.q21, family.q22,
-                                   config.vertex, slice_form)
+    lines = tuple(sorted(lines, key=lambda l: l.point_b.coords))
     unresolved = list(unresolved)
     points = []
     for line in lines:

@@ -2,8 +2,9 @@
 
 Matrices are lists of lists of ``Fraction``; everything here is plain
 fraction-free-enough Gaussian elimination, small and deterministic.  Used
-for configuration ranks, projective vertices, kernel directions of local
-quadratic forms and vanishing-condition null spaces.
+for configuration ranks, projective vertices, points of the type-II carrier
+lines, kernel directions of local quadratic forms and vanishing-condition
+null spaces.
 """
 
 from __future__ import annotations

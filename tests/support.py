@@ -2,14 +2,18 @@
 
 Each check_* function runs the stated number of random cases at a given rng
 and raises on the first violation; the acceptance suite runs them at the
-contract counts, the unit suites reuse them at smaller sizes.
+contract counts, the unit suites reuse them at smaller sizes.  The exact
+helpers at the end (``in_span``, ``split_rank2_form``) serve only the tests.
 """
 
 from fractions import Fraction
+from math import isqrt
 
+from cuspquartics import linalg
 from cuspquartics.geometry import fiber_change
 from cuspquartics.groebner import Ideal, buchberger
 from cuspquartics.polyring import QQ, PolyRing, order_key
+from cuspquartics.singular import _drop, quadratic_form_matrix
 
 
 def random_monomial(rng, nvars, max_degree):
@@ -134,3 +138,86 @@ def check_fiber_change_identity(rng, family, cases):
                 break
         result = fiber_change(family, a)
         assert result.verified
+
+
+def in_span(f, basis):
+    """True iff f is a linear combination of the given forms (exact)."""
+    if f.is_zero():
+        return True
+    mons = sorted({m for g in basis for m, _ in g.terms}
+                  | {m for m, _ in f.terms}, key=f.ring.key, reverse=True)
+    rows = [[g.coefficient(m) for m in mons] for g in basis]
+    rhs_rank = linalg.rank(rows + [[f.coefficient(m) for m in mons]])
+    return rhs_rank == linalg.rank(rows)
+
+
+def _fraction_sqrt(c):
+    if c < 0:
+        return None
+    num, den = c.numerator, c.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def split_rank2_form(q):
+    """Factor a rank-2 quadratic form into two rational linear forms.
+
+    Returns (l1, l2) with q = l1 * l2 exactly, or None when the factors are
+    irrational.  The factorization is unique up to scalars and order.
+    """
+    ring = q.ring
+    a_mat = quadratic_form_matrix(q)
+    if linalg.rank(a_mat) != 2:
+        raise ValueError("expected a quadratic form of rank exactly 2")
+    n = ring.nvars
+    square_var = next((i for i in range(n) if a_mat[i][i] != 0), None)
+    if square_var is None:
+        # no squares: some variable sits in exactly one factor
+        i = next(i for i in range(n)
+                 if any(m[i] > 0 for m, _ in q.terms))
+        l_part = ring.from_dict({_drop(m, i): c for m, c in q.terms if m[i] == 1})
+        m_part = ring.from_dict({m: c for m, c in q.terms if m[i] == 0})
+        if m_part.is_zero():
+            return ring.gen(i), l_part
+        try:
+            quot = m_part.exact_divide(l_part)
+        except Exception:
+            return None
+        return ring.gen(i) + quot, l_part
+    i = square_var
+    a = a_mat[i][i]
+    b = ring.from_dict({_drop(m, i): c for m, c in q.terms if m[i] == 1})
+    c_poly = ring.from_dict({m: c for m, c in q.terms if m[i] == 0})
+    disc = b * b - c_poly.scale(4 * a)
+    root = _square_root_of_square_form(disc)
+    if root is None:
+        return None
+    two_a = Fraction(2) * a
+    l1 = ring.gen(i).scale(two_a) + b + root
+    l2 = ring.gen(i).scale(two_a) + b - root
+    l1 = l1.scale(Fraction(1, 2))
+    l2 = l2.scale(Fraction(1, 2) / a)
+    assert l1 * l2 == q
+    return l1, l2
+
+
+def _square_root_of_square_form(d):
+    """Square root of a quadratic form that is the square of a linear form."""
+    if d.is_zero():
+        return d.ring.zero()
+    ring = d.ring
+    mat = quadratic_form_matrix(d)
+    n = ring.nvars
+    j = next((j for j in range(n) if mat[j][j] != 0), None)
+    if j is None:
+        return None
+    s = _fraction_sqrt(mat[j][j])
+    if s is None:
+        return None
+    root = ring.from_dict({tuple(1 if t == m else 0 for t in range(n)): mat[j][m] / s
+                           for m in range(n) if mat[j][m] != 0})
+    if root * root == d:
+        return root
+    return None

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cuspquartics import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EX61_MANIFEST = """\
 Lp = x0
@@ -72,6 +76,22 @@ def test_gb_unreadable_file_exit2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("input error: cannot read")
+
+
+@pytest.mark.parametrize("names", [",", "x0,x0"])
+def test_gb_bad_variables_exit2(capsys, names):
+    code, out, err = run_cli(capsys, "gb", "x0", "--vars", names)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("names", [",", "x0,x0"])
+def test_nf_bad_variables_exit2(capsys, names):
+    code, out, err = run_cli(capsys, "nf", "x0", "x0^2", "--vars", names)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
 
 
 def test_nf(capsys):
@@ -202,6 +222,15 @@ def test_code_mixed_lengths_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("claim", ["0,1,1", "3,0,2", "3,1,-2"])
+def test_code_nonpositive_griesmer_claim_exit2(capsys, claim):
+    code, out, err = run_cli(capsys, "code", "--length", "3",
+                             "--generators", "1,1,0", "--griesmer", claim)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: bad griesmer claim {claim!r}\n"
+
+
 def test_verify_example_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "verify-example", "ex61")
     assert code == 0
@@ -256,7 +285,7 @@ def test_human_readable_output(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cuspquartics", "gb", "x0, x1"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "VERIFIED" in proc.stdout
 
@@ -265,7 +294,7 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import cuspquartics.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -197,6 +197,80 @@ def test_cusp_search_slice_points_in_degenerate_charts(ex62_family):
         assert set(search.points) == {ProjectivePoint(p) for p in expected}
 
 
+def _linear_form(ring, row):
+    return sum((g * c for g, c in zip(ring.gens(), row)), ring.zero())
+
+
+def test_type_two_carrier_lines_match_planted_lines(make_rng):
+    # oracle: with g_i(v) = 0, the forms L = sum_i g_i * phi(tau_i) have the
+    # carrier lines {g_j = g_k = 0}, one per planted parameter tau_i, where
+    # phi(a, b) = (a^2 b, a b^2, a^3, b^3); (1:0) is always planted
+    from cuspquartics import linalg
+
+    rng = make_rng(131)
+    ring = surface_ring()
+    changes = ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+               [[1, 2, 0, 0], [0, 1, 0, -1], [1, 1, 1, 0], [0, 0, 0, 1]],
+               [[0, 0, 1, 0], [2, 1, 0, 0], [0, -1, 0, 1], [1, 0, 0, 1]])
+    nonzero = [Fraction(a, b) for a in range(-4, 5) if a for b in (1, 2, 3)]
+    for _ in range(4):
+        vertex = [rng.randint(-3, 3) for _ in range(4)]
+        if not any(vertex):
+            vertex[rng.randrange(4)] = 1
+        g_rows = []
+        while len(g_rows) < 3:
+            row = [rng.randint(-3, 3) for _ in range(4)]
+            if (sum(a * b for a, b in zip(row, vertex)) == 0
+                    and linalg.rank(g_rows + [row]) == len(g_rows) + 1):
+                g_rows.append(row)
+        ratios = rng.sample(sorted(set(nonzero)), 2)
+        params = [(1, 0)] + [(r.numerator, r.denominator) for r in ratios]
+        images = [(a * a * b, a * b * b, a ** 3, b ** 3) for a, b in params]
+        l_rows = [[sum(images[i][k] * g_rows[i][col] for i in range(3))
+                   for col in range(4)] for k in range(4)]
+        while True:
+            residual = sum((ring.gen(i) * ring.gen(j) * rng.randint(-3, 3)
+                            for i in range(4) for j in range(i, 4)), ring.zero())
+            try:
+                cusp_candidates(build_family(*(_linear_form(ring, row)
+                                               for row in l_rows), residual))
+                break
+            except GeometryError:
+                continue
+        for change in changes:
+            moved = [_linear_form(ring, row) for row in change]
+            g_moved = [linalg.mat_vec(list(zip(*change)), row) for row in g_rows]
+            family = build_family(*(_linear_form(ring, row).substitute(moved)
+                                    for row in l_rows),
+                                  residual.substitute(moved))
+            search = cusp_candidates(family)
+            apex = ProjectivePoint(linalg.mat_vec(linalg.inverse(change), vertex))
+            assert search.configuration.vertex == apex
+            assert len(search.lines) == 3
+            planted = []
+            for line in search.lines:
+                assert line.point_a == apex
+                at_b = [sum(c * x for c, x in zip(row, line.point_b.coords))
+                        for row in g_moved]
+                planted += [i for i in range(3)
+                            if at_b[i] != 0 and at_b[(i + 1) % 3] == 0
+                            and at_b[(i + 2) % 3] == 0]
+            assert sorted(planted) == [0, 1, 2]
+
+
+def test_type_two_irrational_carrier_lines_stay_unresolved(gens):
+    # the forms meet the twisted cubic where (t0 - t1)(t0^2 - 2 t1^2) = 0
+    x0, x1, x2, x3 = gens
+    family = build_family(x0, x1, x2, (x0 + 2 * x1 - x2) * Fraction(1, 2),
+                          x3 * x3 - x0 * x0 - x0 * x1)
+    search = cusp_candidates(family)
+    assert [str(line) for line in search.lines] == ["{ x0 - x2 = x1 - x2 = 0 }"]
+    assert search.points == (ProjectivePoint((1, 1, 1, -1)),
+                             ProjectivePoint((1, 1, 1, 1)))
+    t0, t1 = param_ring().gens()
+    assert search.unresolved == (t0 ** 2 - 2 * t1 ** 2,)
+
+
 def test_cusp_search_twisted_cubic_after_linear_change(ex61_family):
     # a type (I) family whose forms are not the coordinates: the search must
     # adapt coordinates before pulling back along the parametrization

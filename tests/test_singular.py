@@ -21,16 +21,15 @@ from cuspquartics.singular import (
     classify,
     cusp_divisibility_certificate,
     forms_through_points,
-    in_span,
     is_singular_point,
     jacobian_ideal,
     local_expansion,
     quadratic_form_matrix,
     singular_locus_contained_in,
     singular_set_certificate,
-    split_rank2_form,
     transversal_at,
 )
+from support import in_span, split_rank2_form
 
 
 @pytest.fixture
