@@ -15,18 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
+# these layers are lazy modules (see the package docstring): names are
+# looked up in them at call time, so a subcommand executes only the
+# layers it uses
 from . import codes, geometry, linalg, singular
-from .geometry import (
-    ConfigurationType,
-    DependentFormsError,
-    DegenerateConfigurationError,
-    GeometryError,
-    InfiniteIntersectionError,
-    ProjectivePoint,
-)
 from .groebner import Ideal, buchberger, normal_form
 from .polyring import ParseError, PolyRing, PolynomialError, QQ
-from .singular import Analysis, CertificateError, SingularityKind
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -160,15 +154,16 @@ def _load_family(path):
         return geometry.family_from_manifest(text)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    except (DependentFormsError, DegenerateConfigurationError) as exc:
+    except (geometry.DependentFormsError,
+            geometry.DegenerateConfigurationError) as exc:
         raise PreconditionError(str(exc)) from exc
-    except GeometryError as exc:
+    except geometry.GeometryError as exc:
         raise InputError(str(exc)) from exc
 
 
 def report_construct(path, certify, pmax):
     family = _load_family(path)
-    analysis = Analysis(family, pmax)
+    analysis = singular.Analysis(family, pmax)
     report = _new_report("construct", {"manifest": path, "pmax": pmax})
     _info(report, "quartic", polynomial=str(family.quartic))
     search = analysis.search
@@ -185,7 +180,7 @@ def report_construct(path, certify, pmax):
 
 
 def report_cusps(path):
-    analysis = Analysis(_load_family(path))
+    analysis = singular.Analysis(_load_family(path))
     report = _new_report("cusps", {"manifest": path})
     search = analysis.search
     _info(report, "configuration", type=search.configuration.kind.value)
@@ -205,9 +200,9 @@ def _run_certificates(report, analysis):
     points = analysis.search.points
     verdicts = [analysis.verdict(p) for p in points]
     for point, verdict in zip(points, verdicts):
-        _add(report, f"cusp {point}", verdict.kind is SingularityKind.A2,
+        _add(report, f"cusp {point}", verdict.kind is singular.SingularityKind.A2,
              kind=verdict.kind.value)
-    if points and all(v.kind is SingularityKind.A2 for v in verdicts):
+    if points and all(v.kind is singular.SingularityKind.A2 for v in verdicts):
         _add(report, "three-divisibility certificate",
              analysis.divisibility_certificate(points).verified)
         full = analysis.singular_set_certificate()
@@ -283,11 +278,11 @@ def _verify_twisted_cubic(pmax):
         family.contact_quadric, family.q12, family.q21, family.q22)
     _add(report, "determinantal equation agrees with exact division",
          det_route == family.quartic)
-    analysis = Analysis(family, pmax)
+    analysis = singular.Analysis(family, pmax)
     search = analysis.search
     _add(report, "configuration is type I",
-         search.configuration.kind is ConfigurationType.TWISTED_CUBIC)
-    expected = sorted(ProjectivePoint((j * j, s * j, s * j ** 3, 1))
+         search.configuration.kind is geometry.ConfigurationType.TWISTED_CUBIC)
+    expected = sorted(geometry.ProjectivePoint((j * j, s * j, s * j ** 3, 1))
                       for j in (1, 2, 3) for s in (1, -1))
     _add(report, "six rational cusps found",
          list(search.points) == expected and not search.unresolved,
@@ -311,7 +306,7 @@ def _report_printed_coordinate_warning(report, family):
             point = (s * j, j, j ** 3, s)
             value = family.contact_quadric.evaluate(point)
             if value != 0:
-                bad.append({"point": str(ProjectivePoint(point)),
+                bad.append({"point": str(geometry.ProjectivePoint(point)),
                             "contact_quadric_value": str(value)})
     if bad:
         _warn(report,
@@ -325,7 +320,7 @@ def _common_cusp_checks(report, analysis):
     points = analysis.search.points
     kinds = [analysis.verdict(p) for p in points]
     _add(report, "every cusp classifies as A2",
-         all(v.kind is SingularityKind.A2 for v in kinds),
+         all(v.kind is singular.SingularityKind.A2 for v in kinds),
          verdicts=[v.kind.value for v in kinds])
     _add(report, "contact surfaces meet transversally at every cusp",
          all(analysis.transversal(p) for p in points))
@@ -342,11 +337,11 @@ def _verify_concurrent_lines(pmax):
          family.residual == x3 * x3 - x2 * x2 - x0 * x1)
     _add(report, "contact quadric is x3^2 - x2^2",
          family.contact_quadric == x3 * x3 - x2 * x2)
-    analysis = Analysis(family, pmax)
+    analysis = singular.Analysis(family, pmax)
     search = analysis.search
     config = search.configuration
-    vertex_ok = (config.kind is ConfigurationType.CONCURRENT_LINES
-                 and config.vertex == ProjectivePoint((0, 0, 0, 1)))
+    vertex_ok = (config.kind is geometry.ConfigurationType.CONCURRENT_LINES
+                 and config.vertex == geometry.ProjectivePoint((0, 0, 0, 1)))
     _add(report, "configuration is type II with vertex (0:0:0:1)", vertex_ok,
          vertex=str(config.vertex) if config.vertex else None)
     _add(report, "vertex does not lie on the quartic",
@@ -358,7 +353,7 @@ def _verify_concurrent_lines(pmax):
                       for line in (search.lines or ()))
     _add(report, "carrier lines recovered", set(got_lines) == set(expected_lines),
          lines=[str(l) for l in (search.lines or ())])
-    expected = sorted(ProjectivePoint((j, j * j, 1, s))
+    expected = sorted(geometry.ProjectivePoint((j, j * j, 1, s))
                       for j in (1, 2, 3) for s in (1, -1))
     _add(report, "six rational cusps (j : j^2 : 1 : +-1)",
          list(search.points) == expected and not search.unresolved,
@@ -384,10 +379,10 @@ def _verify_eight_cusp(k):
     _info(report, "classification verdicts",
           verdicts={str(p): v.kind.value for p, v in zip(points, verdicts)})
     a1_points = [str(p) for p, v in zip(points, verdicts)
-                 if v.kind is SingularityKind.A1]
+                 if v.kind is singular.SingularityKind.A1]
     if a1_points:
         det_value = _corner_quadratic_determinant(
-            local[points.index(ProjectivePoint((1, 0, 0, 0)))])
+            local[points.index(geometry.ProjectivePoint((1, 0, 0, 0)))])
         formula = -(k / 2) * (1 + k) ** 2 * (1 - k) ** 6
         _warn(report,
               "the printed polynomial makes the coordinate points ordinary "
@@ -551,6 +546,8 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_attach_negative_k(argv))
+    if args.pmax < 1:
+        parser.error(f"argument --pmax: must be at least 1, got {args.pmax}")
     started = time.monotonic()
     try:
         report = _dispatch(args)
@@ -560,12 +557,12 @@ def main(argv=None):
     except (ParseError, PolynomialError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DependentFormsError, DegenerateConfigurationError,
-            InfiniteIntersectionError, CertificateError,
+    except (geometry.DependentFormsError, geometry.DegenerateConfigurationError,
+            geometry.InfiniteIntersectionError, singular.CertificateError,
             PreconditionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except GeometryError as exc:
+    except geometry.GeometryError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000)

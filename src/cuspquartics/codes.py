@@ -121,14 +121,6 @@ class TernaryCode:
         return {frozenset(i + 1 for i, v in enumerate(w) if v)
                 for w in self.codewords() if any(w)}
 
-    def to_json_dict(self):
-        return {"length": self.length,
-                "dimension": self.dimension,
-                "generators": [list(signed_word(g)) for g in self.generators],
-                "weight_distribution": {str(k): v for k, v in
-                                        sorted(self.weight_distribution().items())},
-                "supports": sorted(sorted(s) for s in self.supports())}
-
     def __repr__(self):
         return f"TernaryCode(length={self.length}, dimension={self.dimension})"
 

@@ -98,11 +98,6 @@ def inverse(rows):
     return [row[n:] for row in red]
 
 
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 

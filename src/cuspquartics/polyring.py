@@ -344,13 +344,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def constant_term(self):
-        zero = (0,) * self.ring.nvars
-        for m, c in self.terms:
-            if m == zero:
-                return c
-        return self.ring.domain.zero
-
     def coefficient(self, exps):
         exps = tuple(exps)
         for m, c in self.terms:

@@ -26,7 +26,7 @@ from .geometry import (
     restrict_to_line,
 )
 from .groebner import Ideal, buchberger, radical_membership
-from .polyring import QQ, Polynomial, PolyRing
+from .polyring import QQ, PolyRing
 
 
 class CertificateError(Exception):
@@ -56,22 +56,6 @@ class Certificate:
     claim: str
     data: dict
     verified: bool
-
-    def to_json_dict(self):
-        return {"claim": self.claim, "verified": self.verified,
-                "data": _jsonify(self.data)}
-
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (Polynomial, ProjectivePoint, Fraction)):
-        return str(value)
-    if isinstance(value, SingularityKind):
-        return value.value
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@
 Each check_* function runs the stated number of random cases at a given rng
 and raises on the first violation; the acceptance suite runs them at the
 contract counts, the unit suites reuse them at smaller sizes.  The exact
-helpers at the end (``in_span``, ``split_rank2_form``) serve only the tests.
+helpers at the end (``in_span``, ``split_rank2_form``, ``mat_mul``,
+``constant_term`` and the JSON views of certificates and codes) serve only
+the tests.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from cuspquartics import linalg
-from cuspquartics.geometry import fiber_change
+from cuspquartics.codes import signed_word
+from cuspquartics.geometry import ProjectivePoint, fiber_change
 from cuspquartics.groebner import Ideal, buchberger
-from cuspquartics.polyring import QQ, PolyRing, order_key
-from cuspquartics.singular import _drop, quadratic_form_matrix
+from cuspquartics.polyring import QQ, Polynomial, PolyRing, order_key
+from cuspquartics.singular import SingularityKind, _drop, quadratic_form_matrix
 
 
 def random_monomial(rng, nvars, max_degree):
@@ -221,3 +224,42 @@ def _square_root_of_square_form(d):
     if root * root == d:
         return root
     return None
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def constant_term(f):
+    zero = (0,) * f.ring.nvars
+    for m, c in f.terms:
+        if m == zero:
+            return c
+    return f.ring.domain.zero
+
+
+def certificate_json(cert):
+    return {"claim": cert.claim, "verified": cert.verified,
+            "data": _jsonify(cert.data)}
+
+
+def _jsonify(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, (Polynomial, ProjectivePoint, Fraction)):
+        return str(value)
+    if isinstance(value, SingularityKind):
+        return value.value
+    return value
+
+
+def code_json(code):
+    return {"length": code.length,
+            "dimension": code.dimension,
+            "generators": [list(signed_word(g)) for g in code.generators],
+            "weight_distribution": {str(k): v for k, v in
+                                    sorted(code.weight_distribution().items())},
+            "supports": sorted(sorted(s) for s in code.supports())}

@@ -231,6 +231,23 @@ def test_code_nonpositive_griesmer_claim_exit2(capsys, claim):
     assert err == f"input error: bad griesmer claim {claim!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "{manifest}", "--certify", "--pmax", "0"),
+    ("verify-example", "ex61", "--pmax", "0"),
+    ("verify-example", "ex62", "--pmax", "-3"),
+])
+def test_pmax_below_one_exit2(capsys, tmp_path, argv):
+    path = tmp_path / "fam.txt"
+    path.write_text(EX61_MANIFEST)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(manifest=path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --pmax: must be at least 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_example_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "verify-example", "ex61")
     assert code == 0

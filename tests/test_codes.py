@@ -20,6 +20,7 @@ from cuspquartics.codes import (
     weight,
 )
 from cuspquartics.geometry import ProjectivePoint, eight_cusp_points
+from support import code_json
 
 KNOWN_FAMILY = ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 7, 8),
                 (1, 4, 5, 6, 7, 8), (2, 3, 5, 6, 7, 8))
@@ -84,7 +85,7 @@ def test_supports_edge_cases():
 def test_code_json_surface():
     import json
 
-    payload = eight_cusp_code().to_json_dict()
+    payload = code_json(eight_cusp_code())
     assert json.loads(json.dumps(payload)) == payload
     assert payload["dimension"] == 2
     assert payload["generators"][1] == [0, 0, 1, 1, -1, -1, 1, 1]

@@ -1,0 +1,98 @@
+"""The package surface: lazily executed layers and the public names."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import cuspquartics
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LAYERS = ("polyring", "linalg", "groebner", "geometry", "singular", "codes")
+
+# the names ``from cuspquartics import ...`` has served since 0.1.0
+PUBLIC = {
+    "polyring": ("GF", "QQ", "DivisionError", "ExponentOverflowError",
+                 "ParseError", "Polynomial", "PolyRing", "RingMismatchError"),
+    "groebner": ("GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
+                 "is_zero_dimensional_affine", "normal_form",
+                 "radical_membership", "s_polynomial"),
+    "geometry": ("Configuration", "ConfigurationType", "CuspSearch",
+                 "DependentFormsError", "DivisibleFamily", "GeometryError",
+                 "InfiniteIntersectionError", "Line", "ProjectivePoint",
+                 "build_family", "classify_configuration",
+                 "concurrent_lines_example", "cusp_candidates",
+                 "determinantal_quartic", "eight_cusp_points",
+                 "eight_cusp_quartic", "family_from_manifest",
+                 "family_to_manifest", "fiber_change", "ideal_quadrics",
+                 "param_ring", "surface_ring", "twisted_cubic_example",
+                 "twisted_cubic_map"),
+    "singular": ("Certificate", "CertificateError", "SingularityKind",
+                 "SingularityVerdict", "classify",
+                 "cusp_divisibility_certificate", "forms_through_points",
+                 "is_singular_point", "jacobian_ideal",
+                 "singular_locus_contained_in", "singular_set_certificate",
+                 "transversal_at"),
+    "codes": ("CuspConfiguration", "TernaryCode",
+              "configuration_from_coordinate_swaps", "coplanar_subsets",
+              "eight_cusp_code", "enumerate_constant_weight_codes",
+              "enumerate_divisible_families", "griesmer_holds",
+              "is_constant_weight", "weight"),
+}
+
+# An external tracer imports the CLI, then looks every layer up in
+# sys.modules and wraps the functions it finds in vars() of each.
+LAYER_STATES = """
+import contextlib, io, json, sys, types
+import cuspquartics.cli
+
+LAYERS = %r
+def executed():
+    return [n for n in LAYERS
+            if type(sys.modules["cuspquartics." + n]) is types.ModuleType]
+registered = [n for n in LAYERS if "cuspquartics." + n in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cuspquartics.cli.main(["gb", "x0^2 - x1, x1^2 - x2"])
+after_gb = executed()
+found = {n: sorted(k for k in vars(sys.modules["cuspquartics." + n])
+                   if not k.startswith("_"))
+         for n in LAYERS}
+print(json.dumps({"registered": registered, "code": code,
+                  "after_gb": after_gb, "after_vars": executed(),
+                  "found": found}))
+""" % (LAYERS,)
+
+
+def test_layers_are_registered_but_run_only_when_used():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_STATES],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)
+    assert state["registered"] == list(LAYERS)
+    assert state["code"] == 0
+    assert state["after_gb"] == ["polyring", "groebner"]
+    assert state["after_vars"] == list(LAYERS)
+    for layer, names in PUBLIC.items():
+        assert set(names) <= set(state["found"][layer])
+    assert {"rref", "det", "solve"} <= set(state["found"]["linalg"])
+
+
+def test_public_names_are_still_served():
+    listed = dir(cuspquartics)
+    for layer, names in PUBLIC.items():
+        module = import_module(f"cuspquartics.{layer}")
+        for name in names:
+            namespace = {}
+            exec(f"from cuspquartics import {name}", namespace)
+            assert namespace[name] is getattr(module, name), name
+            assert name in listed, name
+    assert set(LAYERS) <= set(listed)
+    with pytest.raises(ImportError):
+        exec("from cuspquartics import no_such_name", {})

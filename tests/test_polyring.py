@@ -12,6 +12,7 @@ from cuspquartics.polyring import (
 )
 
 import support
+from support import constant_term
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ def test_evaluate(ring):
     s = ring.parse("49*x1^2 + x2^2 - 36*x3^2 - 14*x0^2")
     assert s.evaluate((1, 1, 1, 1)) == 0
     f = ring.parse("x0^2 + 2*x1 + 7")
-    assert f.evaluate((0, 0, 0, 0)) == f.constant_term() == 7
+    assert f.evaluate((0, 0, 0, 0)) == constant_term(f) == 7
     s2 = ring.parse("x3^2 - x2^2")
     for j in (1, 2, 3):
         assert s2.evaluate((j, j * j, 1, 1)) == 0

@@ -29,7 +29,7 @@ from cuspquartics.singular import (
     singular_set_certificate,
     transversal_at,
 )
-from support import in_span, split_rank2_form
+from support import certificate_json, in_span, split_rank2_form
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ def test_divisibility_certificate(ex61_family, ex61_search, ex62_family, ex62_se
     assert cert.data["common_line_off_contact_quadric"]
     cert2 = cusp_divisibility_certificate(ex62_family, ex62_search.points)
     assert cert2.verified
-    payload = json.dumps(cert.to_json_dict())
+    payload = json.dumps(certificate_json(cert))
     assert "three-divisible" in payload
 
 
