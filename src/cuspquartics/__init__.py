@@ -10,8 +10,8 @@ Importing the package registers every layer module in ``sys.modules`` and
 as an attribute of the package, but executes none of them: each is a
 ``importlib.util.LazyLoader`` module whose source runs on its first
 attribute access (``vars()`` included).  A process therefore runs only the
-layers it touches.  ``import cuspquartics.cli``, ``gb`` and ``nf`` execute
-``polyring``, ``groebner`` and ``cli``; ``code`` adds ``geometry`` and
+layers it touches.  ``import cuspquartics.cli`` executes ``polyring`` and
+``cli``; ``gb`` and ``nf`` add ``groebner``, ``code`` adds ``geometry`` and
 ``codes``, ``enumerate-sets`` adds ``linalg`` to those, ``construct``,
 ``cusps`` and ``verify-example ex61|ex62`` execute every layer but
 ``codes``, and ``verify-example barth`` executes all of them.  The public

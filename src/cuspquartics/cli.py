@@ -18,8 +18,7 @@ from fractions import Fraction
 # these layers are lazy modules (see the package docstring): names are
 # looked up in them at call time, so a subcommand executes only the
 # layers it uses
-from . import codes, geometry, linalg, singular
-from .groebner import Ideal, buchberger, normal_form
+from . import codes, geometry, groebner, linalg, singular
 from .polyring import ParseError, PolyRing, PolynomialError, QQ
 
 EXIT_OK = 0
@@ -121,7 +120,7 @@ def report_gb(gens_text, order, var_names):
         gens = _parse_generators(gens_text, ring)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    basis = buchberger(Ideal.spanned_by(gens, ring=ring))
+    basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring))
     _info(report, "reduced basis", size=len(basis),
           elements=[str(g) for g in basis])
     _add(report, "s-polynomial audit", basis.verify_buchberger_criterion())
@@ -137,8 +136,8 @@ def report_nf(gens_text, poly_text, order, var_names):
         g = ring.parse(poly_text)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    basis = buchberger(Ideal.spanned_by(gens, ring=ring))
-    r = normal_form(g, basis)
+    basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring))
+    r = groebner.normal_form(g, basis)
     _info(report, "normal form", remainder=str(r), basis_size=len(basis),
           in_ideal=r.is_zero())
     return report

@@ -40,7 +40,12 @@ def griesmer_holds(q, d, r):
     """The ternary Griesmer inequality q >= sum_{i<d} ceil(r / 3^i)."""
     if q < 1 or d < 1 or r < 1:
         raise ValueError("q, d, r must be positive")
-    return q >= sum(-(-r // 3 ** i) for i in range(d))
+    total = i = 0
+    while i < d and 3 ** i < r:
+        total += -(-r // 3 ** i)
+        i += 1
+    # every later term ceil(r / 3^i) is 1
+    return q >= total + d - i
 
 
 def _rref_mod3(rows):
@@ -134,10 +139,6 @@ def eight_cusp_code():
 def is_constant_weight(code, r):
     """True iff every nonzero codeword has weight exactly r."""
     return all(weight(w) == r for w in code.codewords() if any(w))
-
-
-def supports(code):
-    return code.supports()
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ class _Engine:
         """The polynomial p / unit, exact in the ring's domain."""
         dom = self.ring.domain
         inv = dom.invert(dom.convert(unit))
-        return self.ring.from_dict({m: dom.mul(dom.convert(c), inv)
+        return self.ring.from_dict({m: dom.convert(c) * inv
                                     for m, c in p.items()})
 
     def divisors(self, polys):

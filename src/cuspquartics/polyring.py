@@ -8,6 +8,10 @@ so equality is structural and hashing is safe.
 Monomials are plain exponent tuples.  A ring fixes the variable names, the
 coefficient domain and the term order; polynomials of different rings never
 mix silently.
+
+A coefficient domain is ``zero``, ``one``, ``convert`` and ``invert``.
+Arithmetic uses the plain operators; ``convert`` is the one normaliser, which
+makes a raw sum or product a ``Fraction`` or a residue in [0, p).
 """
 
 from __future__ import annotations
@@ -58,27 +62,9 @@ class RationalField:
     def convert(value):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, str)):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into QQ")
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
     @staticmethod
     def invert(a):
@@ -111,18 +97,6 @@ class PrimeField:
         if isinstance(value, str):
             return self.convert(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def invert(self, a):
         if a % self.p == 0:
@@ -247,7 +221,7 @@ class PolyRing:
 
     def constant(self, c):
         c = self.domain.convert(c)
-        if self.domain.is_zero(c):
+        if not c:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, c),))
 
@@ -270,16 +244,17 @@ class PolyRing:
         if any(e > EXPONENT_CAP for e in exps):
             raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
         c = self.domain.convert(coeff)
-        if self.domain.is_zero(c):
+        if not c:
             return self.zero()
         return Polynomial(self, ((exps, c),))
 
     def from_dict(self, coeffs):
-        """Canonical polynomial from {exponent tuple: coefficient}."""
+        """Canonical polynomial from {exponent tuple: raw coefficient}."""
+        convert = self.domain.convert
         items = []
         for exps, c in coeffs.items():
-            c = self.domain.convert(c)
-            if not self.domain.is_zero(c):
+            c = convert(c)
+            if c:
                 items.append((tuple(exps), c))
         items.sort(key=lambda t: self.key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
@@ -354,8 +329,7 @@ class Polynomial:
     def monic(self):
         if not self.terms:
             return self
-        inv = self.ring.domain.invert(self.terms[0][1])
-        return self.scale(inv)
+        return self.scale(self.ring.domain.invert(self.terms[0][1]))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
@@ -377,21 +351,17 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check_ring(other)
-        dom = self.ring.domain
+        zero = self.ring.domain.zero
         acc = dict(self.terms)
         for m, c in other.terms:
-            s = dom.add(acc.get(m, dom.zero), c)
-            if dom.is_zero(s):
-                acc.pop(m, None)
-            else:
-                acc[m] = s
+            acc[m] = acc.get(m, zero) + c
         return self.ring.from_dict(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.ring.domain
-        return Polynomial(self.ring, tuple((m, dom.neg(c)) for m, c in self.terms))
+        convert = self.ring.domain.convert
+        return Polynomial(self.ring, tuple((m, convert(-c)) for m, c in self.terms))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,26 +372,22 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, c):
-        dom = self.ring.domain
-        c = dom.convert(c)
-        if dom.is_zero(c):
+        convert = self.ring.domain.convert
+        c = convert(c)
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((m, dom.mul(k, c)) for m, k in self.terms))
+        return Polynomial(self.ring, tuple((m, convert(k * c)) for m, k in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        dom = self.ring.domain
+        zero = self.ring.domain.zero
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = monomial_mul(m1, m2)
-                s = dom.add(acc.get(m, dom.zero), dom.mul(c1, c2))
-                if dom.is_zero(s):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
+                acc[m] = acc.get(m, zero) + c1 * c2
         return self.ring.from_dict(acc)
 
     __rmul__ = __mul__
@@ -444,10 +410,10 @@ class Polynomial:
         self._check_ring(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        dom = self.ring.domain
+        convert = self.ring.domain.convert
         key = self.ring.key
         glm, glc = g.terms[0]
-        glc_inv = dom.invert(glc)
+        glc_inv = self.ring.domain.invert(glc)
         rem = dict(self.terms)
         quot = {}
         while rem:
@@ -455,15 +421,15 @@ class Polynomial:
             q = monomial_div(lm, glm)
             if q is None:
                 raise DivisionError("no exact quotient (leading term not divisible)")
-            qc = dom.mul(rem[lm], glc_inv)
+            qc = convert(rem[lm] * glc_inv)
             quot[q] = qc
             for m, c in g.terms:
                 mm = monomial_mul(q, m)
-                s = dom.add(rem.get(mm, dom.zero), dom.neg(dom.mul(qc, c)))
-                if dom.is_zero(s):
-                    rem.pop(mm, None)
-                else:
+                s = convert(rem.get(mm, 0) - qc * c)
+                if s:
                     rem[mm] = s
+                else:
+                    rem.pop(mm, None)
         return self.ring.from_dict(quot)
 
     # -- calculus and evaluation ----------------------------------------------
@@ -473,17 +439,8 @@ class Polynomial:
         i = self.ring._var_index[var] if isinstance(var, str) else var
         if not (0 <= i < self.ring.nvars):
             raise ValueError(f"variable index {i} out of range")
-        dom = self.ring.domain
-        acc = {}
-        for m, c in self.terms:
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1:]
-            dc = dom.mul(c, dom.convert(e))
-            if not dom.is_zero(dc):
-                acc[dm] = dom.add(acc.get(dm, dom.zero), dc)
-        return self.ring.from_dict(acc)
+        return self.ring.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                    for m, c in self.terms if m[i]})
 
     def gradient(self):
         return tuple(self.partial_derivative(i) for i in range(self.ring.nvars))
@@ -526,25 +483,25 @@ class Polynomial:
         point = tuple(point)
         if len(point) != self.ring.nvars:
             raise ValueError(f"expected {self.ring.nvars} coordinates")
-        dom = self.ring.domain
-        vals = tuple(dom.convert(p) for p in point)
-        total = dom.zero
-        powers = [{0: dom.one} for _ in range(self.ring.nvars)]
+        convert = self.ring.domain.convert
+        vals = tuple(convert(p) for p in point)
+        total = 0
+        powers = [{0: 1} for _ in range(self.ring.nvars)]
 
         def power(i, e):
             cache = powers[i]
             while e not in cache:
                 k = max(cache)
-                cache[k + 1] = dom.mul(cache[k], vals[i])
+                cache[k + 1] = convert(cache[k] * vals[i])
             return cache[e]
 
         for m, c in self.terms:
             v = c
             for i, e in enumerate(m):
                 if e:
-                    v = dom.mul(v, power(i, e))
-            total = dom.add(total, v)
-        return total
+                    v *= power(i, e)
+            total += v
+        return convert(total)
 
     # -- printing --------------------------------------------------------------
 

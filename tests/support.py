@@ -15,7 +15,7 @@ from cuspquartics import linalg
 from cuspquartics.codes import signed_word
 from cuspquartics.geometry import ProjectivePoint, fiber_change
 from cuspquartics.groebner import Ideal, buchberger
-from cuspquartics.polyring import QQ, Polynomial, PolyRing, order_key
+from cuspquartics.polyring import GF, QQ, Polynomial, PolyRing, order_key
 from cuspquartics.singular import SingularityKind, _drop, quadratic_form_matrix
 
 
@@ -101,6 +101,59 @@ def check_parse_format_roundtrip(rng, cases):
     for _ in range(cases):
         f = random_polynomial(rng, ring, max_degree=6, max_terms=6)
         assert ring.parse(str(f)) == f
+
+
+def _prime_to(rng, p, bound):
+    """A random rational whose denominator is prime to p."""
+    den = rng.choice([d for d in range(1, 10) if d % p])
+    return Fraction(rng.randint(-bound, bound), den)
+
+
+def _polynomial_prime_to(rng, ring, p, max_degree=3, max_terms=4):
+    bound = rng.choice((9, 2 ** 40))
+    return ring.from_dict({random_monomial(rng, ring.nvars, max_degree):
+                           _prime_to(rng, p, bound)
+                           for _ in range(rng.randint(0, max_terms))})
+
+
+def _assert_canonical(f, p):
+    assert all(type(c) is int and 1 <= c < p for _, c in f.terms), f.terms
+    keys = [f.ring.key(m) for m, _ in f.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:])), f.terms
+
+
+def check_prime_field_reduction(rng, cases):
+    """Reducing QQ coefficients mod p commutes with the ring operations,
+    and every GF(p) result is canonical."""
+    names = ("x0", "x1", "x2", "x3")
+    ring = PolyRing(names, QQ, "grevlex")
+    for p in (2, 3, 7, 2 ** 31 - 1):
+        red = PolyRing(names, GF(p), "grevlex").convert
+
+        def agree(over_qq, over_fp):
+            _assert_canonical(over_fp, p)
+            assert red(over_qq) == over_fp
+
+        for _ in range(cases):
+            f, g = (_polynomial_prime_to(rng, ring, p) for _ in range(2))
+            agree(f + g, red(f) + red(g))
+            agree(f - g, red(f) - red(g))
+            agree(-f, -red(f))
+            agree(f * g, red(f) * red(g))
+            c = _prime_to(rng, p, 20)
+            agree(f.scale(c), red(f).scale(c))
+            n = rng.randint(0, 4)
+            agree(f ** n, red(f) ** n)
+            if red(g):
+                agree(f, (red(f) * red(g)).exact_divide(red(g)))
+            i = rng.randrange(len(names))
+            agree(f.partial_derivative(i), red(f).partial_derivative(i))
+            images = [_polynomial_prime_to(rng, ring, p, 2, 3) for _ in names]
+            agree(f.substitute(images), red(f).substitute([red(im) for im in images]))
+            point = [_prime_to(rng, p, 50) for _ in names]
+            value = red(f).evaluate(point)
+            assert type(value) is int and 0 <= value < p
+            assert GF(p).convert(f.evaluate(point)) == value
 
 
 def check_groebner_uniqueness(rng, cases):

@@ -231,6 +231,20 @@ def test_code_nonpositive_griesmer_claim_exit2(capsys, claim):
     assert err == f"input error: bad griesmer claim {claim!r}\n"
 
 
+def test_code_griesmer_claim_with_large_dimension_finishes():
+    # the bound's sum has D terms; summing all 10^6 of them never finishes
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspquartics", "--json", "code", "--length",
+         "3", "--generators", "1,1,0", "--griesmer", "3,1000000,3"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    bound = next(r for r in report["results"]
+                 if r["name"] == "griesmer bound for [3,1000000,{3}]")
+    assert bound["holds"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "{manifest}", "--certify", "--pmax", "0"),
     ("verify-example", "ex61", "--pmax", "0"),

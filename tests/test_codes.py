@@ -16,7 +16,6 @@ from cuspquartics.codes import (
     griesmer_holds,
     is_constant_weight,
     signed_word,
-    supports,
     weight,
 )
 from cuspquartics.geometry import ProjectivePoint, eight_cusp_points
@@ -46,12 +45,26 @@ def test_griesmer_examples():
         griesmer_holds(0, 1, 1)
 
 
+def test_griesmer_large_dimension():
+    # 3 + 1 + (10^6 - 2) * 1: every term after ceil(3 / 3) is 1
+    assert griesmer_holds(10 ** 6 + 2, 10 ** 6, 3)
+    assert not griesmer_holds(10 ** 6 + 1, 10 ** 6, 3)
+
+
+def test_griesmer_matches_the_direct_sum():
+    for q in range(1, 31):
+        for d in range(1, 31):
+            for r in range(1, 31):
+                direct = sum(-(-r // 3 ** i) for i in range(d))
+                assert griesmer_holds(q, d, r) == (q >= direct), (q, d, r)
+
+
 def test_eight_cusp_code():
     code = eight_cusp_code()
     assert code.dimension == 2
     assert code.weight_distribution() == {0: 1, 6: 8}
     assert is_constant_weight(code, 6)
-    got = {tuple(sorted(s)) for s in supports(code)}
+    got = {tuple(sorted(s)) for s in code.supports()}
     assert got == {(1, 2, 3, 4, 5, 6), (3, 4, 5, 6, 7, 8),
                    (1, 2, 3, 4, 7, 8), (1, 2, 5, 6, 7, 8)}
     assert len(got) == 4
@@ -77,9 +90,9 @@ def test_is_constant_weight_edge_cases():
 
 def test_supports_edge_cases():
     one_dim = TernaryCode(8, [(1, 1, 1, 1, 1, 1, 0, 0)])
-    assert supports(one_dim) == {frozenset(range(1, 7))}
+    assert one_dim.supports() == {frozenset(range(1, 7))}
     zero = TernaryCode(3, [(0, 0, 0)])
-    assert supports(zero) == set()
+    assert zero.supports() == set()
 
 
 def test_code_json_surface():

@@ -46,7 +46,8 @@ PUBLIC = {
 }
 
 # An external tracer imports the CLI, then looks every layer up in
-# sys.modules and wraps the functions it finds in vars() of each.
+# sys.modules and wraps the functions it finds in vars() of each.  The
+# script runs the command given in its arguments.
 LAYER_STATES = """
 import contextlib, io, json, sys, types
 import cuspquartics.cli
@@ -56,32 +57,44 @@ def executed():
     return [n for n in LAYERS
             if type(sys.modules["cuspquartics." + n]) is types.ModuleType]
 registered = [n for n in LAYERS if "cuspquartics." + n in sys.modules]
+after_import = executed()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cuspquartics.cli.main(["gb", "x0^2 - x1, x1^2 - x2"])
-after_gb = executed()
+    code = cuspquartics.cli.main(sys.argv[1:])
+after_run = executed()
 found = {n: sorted(k for k in vars(sys.modules["cuspquartics." + n])
                    if not k.startswith("_"))
          for n in LAYERS}
 print(json.dumps({"registered": registered, "code": code,
-                  "after_gb": after_gb, "after_vars": executed(),
-                  "found": found}))
+                  "after_import": after_import, "after_run": after_run,
+                  "after_vars": executed(), "found": found}))
 """ % (LAYERS,)
 
 
-def test_layers_are_registered_but_run_only_when_used():
+def layer_states(*argv):
     proc = subprocess.run(
-        [sys.executable, "-c", LAYER_STATES],
+        [sys.executable, "-c", LAYER_STATES, *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
         text=True)
     assert proc.returncode == 0, proc.stderr
-    state = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_layers_are_registered_but_run_only_when_used():
+    state = layer_states("gb", "x0^2 - x1, x1^2 - x2")
     assert state["registered"] == list(LAYERS)
     assert state["code"] == 0
-    assert state["after_gb"] == ["polyring", "groebner"]
+    assert state["after_run"] == ["polyring", "groebner"]
     assert state["after_vars"] == list(LAYERS)
     for layer, names in PUBLIC.items():
         assert set(names) <= set(state["found"][layer])
     assert {"rref", "det", "solve"} <= set(state["found"]["linalg"])
+
+
+def test_cli_import_and_enumerate_sets_skip_groebner():
+    state = layer_states("enumerate-sets")
+    assert state["code"] == 0
+    assert state["after_import"] == ["polyring"]
+    assert state["after_run"] == ["polyring", "linalg", "geometry", "codes"]
 
 
 def test_public_names_are_still_served():

@@ -209,3 +209,7 @@ def test_substitute_homomorphism_sample(make_rng):
 
 def test_parse_format_roundtrip_sample(make_rng):
     support.check_parse_format_roundtrip(make_rng(5), 80)
+
+
+def test_prime_field_reduction_sample(make_rng):
+    support.check_prime_field_reduction(make_rng(6), 40)
