@@ -2,10 +2,10 @@
 
 The construction: pick linear forms lp, lpp, fp, fpp and a residual quadric
 R, form the contact cubics lp^3 + fp*R and lpp^3 + fpp*R and the contact
-quadric S = R + lp*lpp.  The sextic (cubic_a * cubic_b - S^3) is exactly
-divisible by R, and the quotient is the quartic surface.  Its cusps are the
-intersection of S with the twisted cubic cut out by the three quadrics q12,
-q21, q22.
+quadric S = R + lp*lpp.  The quartic surface is det [[S, q12], [q21, q22 - S]]
+for the three quadrics q12, q21, q22 that cut out the twisted cubic; it is
+also the exact quotient of the sextic (cubic_a * cubic_b - S^3) by R.  Its
+cusps are the intersection of S with the twisted cubic.
 """
 
 from cuspquartics import (
@@ -14,7 +14,6 @@ from cuspquartics import (
     classify_configuration,
     cusp_candidates,
     cusp_divisibility_certificate,
-    determinantal_quartic,
     fiber_change,
     jacobian_ideal,
     singular_locus_contained_in,
@@ -29,10 +28,11 @@ print("residual quadric R:", family.residual)
 print("contact quadric S:", family.contact_quadric)
 print("quartic surface:", family.quartic)
 
-# The exact-division route and the 2x2 determinant route agree identically.
-det_route = determinantal_quartic(family.contact_quadric, family.q12,
-                                  family.q21, family.q22)
-print("\ndeterminantal equation agrees:", det_route == family.quartic)
+# The quartic is built as the 2x2 determinant; dividing the sextic by R
+# gives the same polynomial.
+division_route = family.sextic.exact_divide(family.residual)
+print("\nexact division agrees with the determinant:",
+      division_route == family.quartic)
 
 config = classify_configuration(*family.forms())
 print("configuration type:", config.kind.value, "(carrier is a twisted cubic)")

@@ -2,8 +2,8 @@
 
 Builds the determinantal families: two contact cubics and a contact quadric
 over a residual quadric, the three quadrics cutting the degree-3 carrier
-curve, the quartic itself (by exact division and by the 2x2 determinant,
-which agree identically), configuration classification, cusp search with
+curve, the quartic itself (a 2x2 determinant, the exact quotient of the
+sextic by the residual), configuration classification, cusp search with
 exact rational root extraction, parameter changes of the carrier curve, and
 the classical eight-cusp quartic family.  Both configuration types find
 their carrier on the twisted cubic (t0^2 t1, t0 t1^2, t0^3, t1^3), the
@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from . import linalg
-from .polyring import QQ, DivisionError, Polynomial, PolyRing
+from .polyring import QQ, Polynomial, PolyRing
 
 SURFACE_VARS = ("x0", "x1", "x2", "x3")
 PARAM_VARS = ("t0", "t1")
@@ -145,8 +146,8 @@ class DivisibleFamily:
     """Input forms plus every derived surface of the construction.
 
     lp, lpp are the linear forms whose cubes start the contact cubics,
-    fp, fpp the companion linear forms, residual the quadric divided out of
-    the sextic.  All derived data is exact and canonical.
+    fp, fpp the companion linear forms, residual the quadric with
+    sextic = quartic * residual.  All derived data is exact and canonical.
     """
 
     lp: Polynomial
@@ -160,8 +161,11 @@ class DivisibleFamily:
     q12: Polynomial
     q21: Polynomial
     q22: Polynomial
-    sextic: Polynomial
     quartic: Polynomial
+
+    @cached_property
+    def sextic(self):
+        return self.cubic_a * self.cubic_b - self.contact_quadric ** 3
 
     @property
     def ring(self):
@@ -228,25 +232,19 @@ def determinantal_quartic(s, q12, q21, q22):
 
 
 def build_family(lp, lpp, fp, fpp, residual):
-    """Populate the full family; the exact division never fails (identity)."""
-    ring = _check_form_family(lp, lpp, fp, fpp)
-    if residual.ring != ring:
+    """Populate the family; the quartic is the 2x2 determinant."""
+    q12, q21, q22 = ideal_quadrics(lp, lpp, fp, fpp)
+    if residual.ring != lp.ring:
         raise GeometryError("residual quadric must share the forms' ring")
     _require_quadric(residual, "residual")
-    cubic_a = lp ** 3 + fp * residual
-    cubic_b = lpp ** 3 + fpp * residual
     contact = residual + lp * lpp
-    q12, q21, q22 = ideal_quadrics(lp, lpp, fp, fpp)
-    sextic = cubic_a * cubic_b - contact ** 3
-    try:
-        quartic = sextic.exact_divide(residual)
-    except DivisionError as exc:  # impossible by the determinantal identity
-        raise AssertionError("internal error: sextic not divisible by residual") from exc
+    quartic = determinantal_quartic(contact, q12, q21, q22)
     if quartic.degree() != 4:
         raise GeometryError("degenerate family: the quartic has degree "
                             f"{quartic.degree()}")
-    return DivisibleFamily(lp, lpp, fp, fpp, residual, cubic_a, cubic_b,
-                           contact, q12, q21, q22, sextic, quartic)
+    return DivisibleFamily(lp, lpp, fp, fpp, residual, lp ** 3 + fp * residual,
+                           lpp ** 3 + fpp * residual, contact, q12, q21, q22,
+                           quartic)
 
 
 def classify_configuration(lp, lpp, fp, fpp):
@@ -414,15 +412,14 @@ def cusp_candidates(family, config=None, slice_form=None):
 
 
 def _cusps_twisted_cubic(family, config):
-    ring = family.ring
     rows = [linear_coefficients(f) for f in family.forms()]
     inverse = linalg.inverse(rows)
-    gens = ring.gens()
-    adapted = [sum((gens[j] * inverse[i][j] for j in range(4)), ring.zero())
-               for i in range(4)]
     pring = param_ring()
     phi = twisted_cubic_map(pring)
-    binary = family.contact_quadric.substitute(adapted).substitute(phi)
+    # x = inverse . phi(t) is the carrier curve in the original coordinates
+    pullback = [sum((phi[j] * inverse[i][j] for j in range(4)), pring.zero())
+                for i in range(4)]
+    binary = family.contact_quadric.substitute(pullback)
     if binary.is_zero():
         raise InfiniteIntersectionError(
             "the contact quadric vanishes on the whole carrier curve")
@@ -527,9 +524,7 @@ def fiber_change(family, a):
         induced.append(sum((gens[j] * comp.coefficient(basis_exps[j])
                             for j in range(4)), ring.zero()))
     lpp_a, lp_a, fpp_a, fp_a = induced
-    q12_a = lp_a * fpp_a - lpp_a * lpp_a
-    q21_a = lpp_a * fp_a - lp_a * lp_a
-    q22_a = fp_a * fpp_a - lp_a * lpp_a
+    q12_a, q21_a, q22_a = ideal_quadrics(lp_a, lpp_a, fp_a, fpp_a)
     s = family.contact_quadric
     m = ((s, family.q12), (family.q21, family.q22 - s))
     a1 = ((a01, a00), (a11, a10))

@@ -392,10 +392,10 @@ def _interreduce(engine, divisors):
 # membership
 # ---------------------------------------------------------------------------
 
-def _as_basis(ideal_or_basis, order=None):
+def _as_basis(ideal_or_basis):
     if isinstance(ideal_or_basis, GroebnerBasis):
         return ideal_or_basis
-    return buchberger(ideal_or_basis, order)
+    return buchberger(ideal_or_basis)
 
 
 def ideal_membership(g, ideal):

@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 EXPONENT_CAP = 1 << 16
+# the parser recurses once per open parenthesis
+NESTING_CAP = 100
 
 ORDER_NAMES = ("grevlex", "lex", "grlex")
 
@@ -568,6 +570,7 @@ def _format_coeff(c):
 # ---------------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit() also accepts '²', which int() rejects
 
 
 def _tokenize(text):
@@ -582,9 +585,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -606,6 +609,7 @@ class _Parser:
         self.ring = ring
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -629,17 +633,19 @@ class _Parser:
         return f
 
     def expr(self):
-        sign = 1
+        # the terms of a sum meet in one dict: adding them one polynomial at
+        # a time would re-sort the partial sum for every term
+        zero = self.ring.domain.zero
+        acc = {}
+        negate = False
         if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        f = self.term()
-        if sign < 0:
-            f = -f
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            g = self.term()
-            f = f + g if op == "+" else f - g
-        return f
+            negate = self.advance()[0] == "-"
+        while True:
+            for m, c in self.term().terms:
+                acc[m] = acc.get(m, zero) + (-c if negate else c)
+            if self.peek()[0] not in ("+", "-"):
+                return self.ring.from_dict(acc)
+            negate = self.advance()[0] == "-"
 
     def term(self):
         if self.peek()[0] == "int":
@@ -651,24 +657,37 @@ class _Parser:
             f = f * self.factor()
         return f
 
+    def integer(self):
+        tok = self.expect("int")
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"integer of {len(tok[1])} digits is too long",
+                             tok[2]) from None
+
     def coeff(self):
-        num = int(self.expect("int")[1])
+        num = self.integer()
         if self.peek()[0] == "/":
             self.advance()
-            den_tok = self.expect("int")
-            den = int(den_tok[1])
+            position = self.peek()[2]
+            den = self.integer()
             if den == 0:
-                raise ParseError("zero denominator", den_tok[2])
+                raise ParseError("zero denominator", position)
             return Fraction(num, den)
         return Fraction(num)
 
     def factor(self):
         tok = self.advance()
         if tok[0] == "(":
+            self.depth += 1
+            if self.depth > NESTING_CAP:
+                raise ParseError(f"parentheses nested deeper than {NESTING_CAP}",
+                                 tok[2])
             f = self.expr()
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("unbalanced parenthesis", closing[2])
+            self.depth -= 1
             return f
         if tok[0] == "ident":
             if tok[1] not in self.ring._var_index:
@@ -676,7 +695,7 @@ class _Parser:
             v = self.ring.var(tok[1])
             if self.peek()[0] == "^":
                 self.advance()
-                e = int(self.expect("int")[1])
+                e = self.integer()
                 if e > EXPONENT_CAP:
                     raise ExponentOverflowError(
                         f"exponent exceeds cap {EXPONENT_CAP}")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cuspquartics import cli
+from cuspquartics.polyring import Polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -386,3 +387,73 @@ def test_barth_reads_local_data_not_expansion(capsys, monkeypatch):
     assert code == 0
     warning = next(w for w in report["warnings"] if "determinant_at_1000" in w)
     assert warning["formulas_agree"] is True
+
+
+# deep enough to exhaust the interpreter's recursion limit without the cap
+DEEP = "(" * 400 + "x0" + ")" * 400
+BAD_POLYNOMIALS = {"superscript-digit": "x1^\u00b2 + x0*x1", "deep-nesting": DEEP,
+                   "5000-digit-integer": "7" * 5000 + "*x0^2"}
+
+
+@pytest.mark.parametrize("text", BAD_POLYNOMIALS.values(),
+                         ids=BAD_POLYNOMIALS.keys())
+def test_gb_parser_limits_exit2(capsys, text):
+    code, out, err = run_cli(capsys, "gb", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("text", BAD_POLYNOMIALS.values(),
+                         ids=BAD_POLYNOMIALS.keys())
+def test_cusps_manifest_parser_limits_exit2(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(EX61_MANIFEST.replace(
+        "R = 49*x1^2 + x2^2 - 36*x3^2 - 14*x0^2 - x0*x1", f"R = {text}"),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "cusps", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+def test_code_dimension_above_the_limit_exits_2_at_once():
+    units = ";".join(",".join("1" if i == j else "0" for j in range(20))
+                     for i in range(20))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspquartics", "code", "--length", "20",
+         "--generators", units],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: code dimension 20 exceeds")
+
+
+def test_code_dimension_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CODE_DIMENSION", 2)
+    code, _, _ = run_cli(capsys, "code", "--length", "3",
+                         "--generators", "1,0,0;0,1,0")
+    assert code == 0
+    code, _, err = run_cli(capsys, "code", "--length", "3",
+                           "--generators", "1,0,0;0,1,0;0,0,1")
+    assert code == 2
+    assert err.startswith("input error: code dimension 3 exceeds the limit 2")
+
+
+@pytest.mark.parametrize("argv", [("cusps",), ("construct", "--certify")],
+                         ids=["cusps", "construct"])
+@pytest.mark.parametrize("manifest", [EX61_MANIFEST, EX62_MANIFEST],
+                         ids=["ex61", "ex62"])
+def test_manifest_commands_never_divide(capsys, tmp_path, monkeypatch, argv,
+                                        manifest):
+    # the quartic is the 2x2 determinant; only verify-example ex61 divides
+    def refuse(self, g):
+        raise AssertionError("the sextic was divided")
+
+    monkeypatch.setattr(Polynomial, "exact_divide", refuse)
+    path = tmp_path / "fam.txt"
+    path.write_text(manifest)
+    code, report, _ = run_json(capsys, "--json", argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert report["verified"] is True

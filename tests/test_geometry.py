@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cuspquartics.geometry import (
     ConfigurationType,
     DependentFormsError,
+    DivisibleFamily,
     DegenerateConfigurationError,
     GeometryError,
     InfiniteIntersectionError,
@@ -27,6 +29,7 @@ from cuspquartics.geometry import (
     twisted_cubic_example,
     twisted_cubic_map,
 )
+from cuspquartics.polyring import Polynomial
 
 import support
 
@@ -453,3 +456,80 @@ def test_divisors_match_brute_force():
         assert _divisors(p * p) == [1, p, p * p]
     assert _divisors(7919 * 7919 * 10007) == [
         1, 7919, 10007, 7919 ** 2, 7919 * 10007, 7919 ** 2 * 10007]
+
+
+def _random_family(rng, kind, fractional):
+    """A random family of the given configuration type; type II takes fpp
+    in the span of the other three forms."""
+    ring = surface_ring()
+    gens = ring.gens()
+
+    def coeff():
+        c = Fraction(rng.randint(-6, 6))
+        return c / rng.randint(1, 4) if fractional else c
+
+    def linear():
+        return sum((g * coeff() for g in gens), ring.zero())
+
+    while True:
+        lp, lpp, fp = linear(), linear(), linear()
+        if kind is ConfigurationType.TWISTED_CUBIC:
+            fpp = linear()
+        else:
+            fpp = lp * coeff() + lpp * coeff() + fp * coeff()
+        residual = sum((gens[i] * gens[j] * coeff()
+                        for i in range(4) for j in range(i, 4)), ring.zero())
+        try:
+            family = build_family(lp, lpp, fp, fpp, residual)
+            config = classify_configuration(*family.forms())
+        except GeometryError:
+            continue
+        if config.kind is kind:
+            return family
+
+
+@pytest.mark.parametrize("fractional", [False, True],
+                         ids=["integer", "fractional"])
+@pytest.mark.parametrize("kind", list(ConfigurationType),
+                         ids=lambda kind: kind.name)
+def test_quartic_is_the_exact_quotient_of_the_sextic(make_rng, kind,
+                                                      fractional):
+    # the determinant builds the quartic; dividing the sextic is the oracle
+    rng = make_rng(1100 + 2 * list(ConfigurationType).index(kind) + fractional)
+    for _ in range(8):
+        family = _random_family(rng, kind, fractional)
+        assert "sextic" not in vars(family)
+        assert family.quartic == family.sextic.exact_divide(family.residual)
+        assert family.sextic == family.quartic * family.residual
+        assert vars(family)["sextic"] is family.sextic
+
+
+def test_sextic_is_not_a_field():
+    assert "sextic" not in {f.name for f in fields(DivisibleFamily)}
+
+
+def test_build_family_never_divides(make_rng, monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("build_family divided a polynomial")
+
+    monkeypatch.setattr(Polynomial, "exact_divide", refuse)
+    rng = make_rng(1110)
+    for kind in ConfigurationType:
+        _random_family(rng, kind, fractional=True)
+    assert twisted_cubic_example().quartic.degree() == 4
+    assert concurrent_lines_example().quartic.degree() == 4
+
+
+def test_type_one_search_substitutes_once(monkeypatch):
+    family = twisted_cubic_example()
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    search = cusp_candidates(family)
+    assert calls == [family.contact_quadric]
+    assert len(search.points) == 6

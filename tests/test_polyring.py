@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,6 +140,61 @@ def test_parse_errors(ring):
         ring.parse("x0 + ")
     with pytest.raises(ParseError):
         ring.parse("x0 ? 1")
+
+
+@pytest.mark.parametrize("text", ["x0^\u00b2", "\u0663*x0", "x0 + \uff11"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_parse_rejects_digits_outside_ascii(ring, text):
+    # str.isdigit() accepts each of these; int() rejects the superscript
+    with pytest.raises(ParseError):
+        ring.parse(text)
+
+
+def test_parse_rejects_integers_int_cannot_read(ring):
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    for text in ("7" * 5000 + "*x0", "1/" + "7" * 5000, "x0^" + "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            ring.parse(text)
+        assert "5000 digits" in str(err.value)
+
+
+def test_parse_nesting_cap(ring, gens):
+    from cuspquartics.polyring import NESTING_CAP
+
+    nested = lambda depth: "(" * depth + "x0 - 1" + ")" * depth
+    assert ring.parse(nested(NESTING_CAP)) == gens[0] - 1
+    with pytest.raises(ParseError) as err:
+        ring.parse(nested(NESTING_CAP + 1))
+    assert err.value.position == NESTING_CAP
+    with pytest.raises(ParseError):
+        ring.parse(nested(40 * NESTING_CAP))
+
+
+def test_parse_collects_repeated_monomials():
+    ring = PolyRing(("x0", "x1"), GF(7))
+    x0, x1 = ring.gens()
+    assert ring.parse("3*x0 - 5*x0 + 9 - x1*(x0 + 1) + x1") == x0 * 5 - x0 * x1 + 2
+    assert ring.parse("x0 - x0").is_zero()
+
+
+def test_parse_long_sum_is_linear(ring):
+    # adding the terms one at a time took 37 s for 5000 terms
+    rng = random.Random(5000)
+    monomials = set()
+    while len(monomials) < 5000:
+        monomials.add(tuple(rng.randint(0, 12) for _ in range(4)))
+    coeffs = {m: Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9))
+              for m in sorted(monomials)}
+    chunks = []
+    for m, c in coeffs.items():
+        factors = [f"x{i}^{e}" for i, e in enumerate(m) if e]
+        chunks.append(" - " if c < 0 else " + ")
+        chunks.append("*".join([f"{abs(c.numerator)}/{c.denominator}"] + factors))
+    started = time.monotonic()
+    parsed = ring.parse("".join(chunks))
+    elapsed = time.monotonic() - started
+    assert parsed == ring.from_dict(coeffs)
+    assert elapsed < 10.0, f"5000 terms took {elapsed:.1f} s, budget is 10 s"
 
 
 def test_format_canonical(ring):
