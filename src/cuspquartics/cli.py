@@ -19,7 +19,7 @@ from fractions import Fraction
 # looked up in them at call time, so a subcommand executes only the
 # layers it uses
 from . import codes, geometry, groebner, linalg, singular
-from .polyring import ParseError, PolyRing, PolynomialError, QQ
+from .polyring import PolyRing, PolynomialError, QQ
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -118,10 +118,7 @@ def report_gb(gens_text, order, var_names):
     ring = _ring_from(var_names, order)
     report = _new_report("gb", {"generators": gens_text, "order": order,
                                 "variables": ring.variables})
-    try:
-        gens = _parse_generators(gens_text, ring)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    gens = _parse_generators(gens_text, ring)
     basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring))
     _info(report, "reduced basis", size=len(basis),
           elements=[str(g) for g in basis])
@@ -133,11 +130,8 @@ def report_nf(gens_text, poly_text, order, var_names):
     ring = _ring_from(var_names, order)
     report = _new_report("nf", {"generators": gens_text, "polynomial": poly_text,
                                 "order": order})
-    try:
-        gens = _parse_generators(gens_text, ring)
-        g = ring.parse(poly_text)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    gens = _parse_generators(gens_text, ring)
+    g = ring.parse(poly_text)
     basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring))
     r = groebner.normal_form(g, basis)
     _info(report, "normal form", remainder=str(r), basis_size=len(basis),
@@ -151,15 +145,7 @@ def _load_family(path):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read manifest: {exc}") from exc
-    try:
-        return geometry.family_from_manifest(text)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
-    except (geometry.DependentFormsError,
-            geometry.DegenerateConfigurationError) as exc:
-        raise PreconditionError(str(exc)) from exc
-    except geometry.GeometryError as exc:
-        raise InputError(str(exc)) from exc
+    return geometry.family_from_manifest(text)
 
 
 def report_construct(path, certify, pmax):
@@ -550,13 +536,23 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_k(argv))
     if args.pmax < 1:
         parser.error(f"argument --pmax: must be at least 1, got {args.pmax}")
+    # results may hold integers longer than the interpreter's int/str limit
+    # (Python 3.10.7 and later); the parser caps input at DIGIT_CAP digits
+    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
+
+
+def _run(args):
     started = time.monotonic()
     try:
         report = _dispatch(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, PolynomialError) as exc:
+    except (InputError, PolynomialError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (geometry.DependentFormsError, geometry.DegenerateConfigurationError,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
@@ -263,14 +264,8 @@ def classify_configuration(lp, lpp, fp, fpp):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (dense Fraction lists, ascending degree)
+# rational roots of binary forms (integer coefficient lists, ascending in t0)
 # ---------------------------------------------------------------------------
-
-def _uni_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
 
 def _divisors(n):
     """The positive divisors of |n| in increasing order ([] for 0)."""
@@ -279,56 +274,16 @@ def _divisors(n):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _uni_eval(c, x):
-    acc = Fraction(0)
-    for k in reversed(c):
-        acc = acc * x + k
-    return acc
-
-
-def _uni_rational_roots(coeffs):
-    """All rational roots of a dense univariate polynomial (each once)."""
-    c = _uni_trim([Fraction(x) for x in coeffs])
-    if not c or len(c) == 1:
-        return []
-    roots = []
-    while c[0] == 0:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        c = c[1:]
-    if len(c) <= 1:
-        return roots
-    den = 1
-    for x in c:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _uni_eval(c, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _deflate(c, r):
-    """The quotient of c by (x - r) for a root r (synthetic division)."""
-    q = [c[-1]]
-    for k in reversed(c[1:-1]):
-        q.append(k + r * q[-1])
-    return q[::-1]
-
-
-def _strip_rational_roots(coeffs):
-    """Divide out every rational root; returns (roots with multiplicity, rest)."""
-    c = _uni_trim([Fraction(x) for x in coeffs])
-    found = []
-    for r in _uni_rational_roots(c):
-        while len(c) > 1 and _uni_eval(c, r) == 0:
-            c = _deflate(c, r)
-            found.append(r)
-    return found, c
+def _divide_out(c, p, q):
+    """The exact quotient of c by q*t0 - p*t1, or None if it does not divide."""
+    quotient = [0] * (len(c) - 1)
+    g = 0
+    for k in range(len(c) - 1, 0, -1):
+        g, r = divmod(c[k] + p * g, q)
+        if r:
+            return None
+        quotient[k - 1] = g
+    return quotient if c[0] + p * g == 0 else None
 
 
 def binary_form_roots(form):
@@ -336,29 +291,46 @@ def binary_form_roots(form):
 
     Returns (roots, unresolved): roots are (t0, t1) fraction pairs, each
     distinct root once; unresolved is a tuple of binary forms (same ring)
-    without rational roots, never approximated.
+    without rational roots, never approximated.  A root p/q in lowest terms
+    of the primitive integer form is a factor q*t0 - p*t1 that divides it
+    over ZZ (Gauss's lemma), so p runs over the divisors of the t1^d
+    coefficient and q over those of the t0^d coefficient.
     """
     if form.is_zero():
         raise ValueError("zero binary form")
     ring = form.ring
     if ring.nvars != 2 or not form.is_homogeneous():
         raise ValueError("expected a homogeneous binary form")
-    d = form.degree()
-    coeffs = [Fraction(0)] * (d + 1)
+    coeffs = [Fraction(0)] * (form.degree() + 1)
     for (e0, e1), c in form.terms:
         coeffs[e0] = c
+    c = list(linalg.primitive_integer_vector(coeffs))
     roots = []
-    if coeffs[d] == 0:
+    if c[-1] == 0:
         roots.append((Fraction(1), Fraction(0)))  # the point at t1 = 0
-    finite, rest = _strip_rational_roots(coeffs)
-    for r in dict.fromkeys(finite):
-        roots.append((r, Fraction(1)))
-    unresolved = ()
-    if len(rest) > 1:
-        deg = len(rest) - 1
-        leftover = {(i, deg - i): c for i, c in enumerate(rest) if c != 0}
-        unresolved = (ring.from_dict(leftover),)
-    return roots, unresolved
+        while c[-1] == 0:
+            c.pop()
+    if c[0] == 0:
+        roots.append((Fraction(0), Fraction(1)))
+        while c[0] == 0:
+            c.pop(0)
+    for p, q in product(_divisors(c[0]), _divisors(c[-1])):
+        if len(c) == 1:
+            break
+        if gcd(p, q) != 1:
+            continue
+        for num in (p, -p):
+            quotient = _divide_out(c, num, q)
+            if quotient is not None:
+                roots.append((Fraction(num, q), Fraction(1)))
+            while quotient is not None:  # strip the root's multiplicity
+                c, quotient = quotient, _divide_out(quotient, num, q)
+    if len(c) == 1:
+        return roots, ()
+    scale = form.leading_coefficient() / c[-1]
+    deg = len(c) - 1
+    leftover = {(i, deg - i): x * scale for i, x in enumerate(c) if x != 0}
+    return roots, (ring.from_dict(leftover),)
 
 
 # ---------------------------------------------------------------------------

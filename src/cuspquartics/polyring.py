@@ -19,6 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 EXPONENT_CAP = 1 << 16
+# the longest integer literal the parser reads (the interpreter's default
+# int/str conversion limit, which the CLI lifts for printing results)
+DIGIT_CAP = 4300
 # the parser recurses once per open parenthesis
 NESTING_CAP = 100
 
@@ -659,11 +662,10 @@ class _Parser:
 
     def integer(self):
         tok = self.expect("int")
-        try:
-            return int(tok[1])
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if len(tok[1]) > DIGIT_CAP:
             raise ParseError(f"integer of {len(tok[1])} digits is too long",
-                             tok[2]) from None
+                             tok[2])
+        return int(tok[1])
 
     def coeff(self):
         num = self.integer()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -457,3 +458,119 @@ def test_manifest_commands_never_divide(capsys, tmp_path, monkeypatch, argv,
     code, report, _ = run_json(capsys, "--json", argv[0], str(path), *argv[1:])
     assert code == 0
     assert report["verified"] is True
+
+
+# (argv, manifest bytes or None, exit code, stderr line); "{path}" in argv
+# and stderr stands for the manifest file, which is written unless None
+_FORMS = b"Lp = x0\nLpp = x1\nFp = x2\nFpp = x3\n"
+BAD_INPUTS = {
+    "gb-parse": (("gb", "x0+"), None, 2,
+                 "input error: expected variable or '(', found '' (at position 3)"),
+    "gb-exponent-cap": (("gb", "x0^70000"), None, 2,
+                        "input error: exponent exceeds cap 65536"),
+    "gb-unknown-variable": (("gb", "y0"), None, 2,
+                            "input error: unknown variable 'y0' (at position 0)"),
+    "gb-duplicate-vars": (("gb", "x0", "--vars", "x0,x0"), None, 2,
+                          "input error: duplicate variable names"),
+    "nf-parse": (("nf", "x0", "x0+*1"), None, 2,
+                 "input error: expected variable or '(', found '*' (at position 3)"),
+    "nf-exponent-cap": (("nf", "x0", "x0^70000"), None, 2,
+                        "input error: exponent exceeds cap 65536"),
+    "nf-duplicate-vars": (("nf", "x0", "x0^2", "--vars", "x0,x0"), None, 2,
+                          "input error: duplicate variable names"),
+    "manifest-parse": (("cusps", "{path}"),
+                       _FORMS.replace(b"x0\n", b"x0*(x0\n", 1) + b"R = x2*x3\n", 2,
+                       "input error: unbalanced parenthesis (at position 6)"),
+    "manifest-exponent-cap": (("cusps", "{path}"), _FORMS + b"R = x0^70000\n", 2,
+                              "input error: exponent exceeds cap 65536"),
+    "residual-degree": (("cusps", "{path}"), _FORMS + b"R = x0^3\n", 2,
+                        "input error: residual must be homogeneous of degree 2"),
+    "rank-2": (("construct", "{path}"),
+               b"Lp = x0\nLpp = x1\nFp = x0\nFpp = x1\nR = x2*x3\n", 3,
+               "precondition violated: the four forms vanish on a "
+               "positive-dimensional set (rank 2)"),
+    "dependent-forms": (("cusps", "{path}"),
+                        b"Lp = x0\nLpp = x0\nFp = x2\nFpp = x3\nR = x2*x3\n", 3,
+                        "precondition violated: lp and lpp are linearly dependent"),
+    "infinite-intersection": (("cusps", "{path}"),
+                              _FORMS + b"R = x0^2 - x1*x2 - x0*x1\n", 3,
+                              "precondition violated: the contact quadric "
+                              "vanishes on the whole carrier curve"),
+    "duplicate-key": (("cusps", "{path}"), b"Lp = x1\n" + _FORMS + b"R = x2*x3\n",
+                      2, "input error: manifest line 2: duplicate key 'Lp'"),
+    "undecodable-file": (("cusps", "{path}"), b"Lp = x0 \xff\n", 2,
+                         "input error: cannot read manifest: 'utf-8' codec "
+                         "can't decode byte 0xff in position 8: invalid start byte"),
+    "missing-file": (("cusps", "{path}"), None, 2,
+                     "input error: cannot read manifest: [Errno 2] No such "
+                     "file or directory: '{path}'"),
+}
+
+
+@pytest.mark.parametrize("argv, manifest, exit_code, message",
+                         BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_code_and_message(capsys, tmp_path, argv, manifest,
+                                         exit_code, message):
+    path = tmp_path / "manifest.txt"
+    if manifest is not None:
+        path.write_bytes(manifest)
+    argv = [a.replace("{path}", str(path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (exit_code, "",
+                                message.replace("{path}", str(path)) + "\n")
+
+
+def test_nf_prints_a_remainder_beyond_the_interpreter_digit_limit(capsys):
+    # (3...3)^2 has 6000 digits, more than int/str conversion allows by default
+    code, report, _ = run_json(capsys, "--json", "nf", "x0 - " + "3" * 3000,
+                               "x0^2")
+    assert code == 0
+    entry = next(r for r in report["results"] if r["name"] == "normal form")
+    # 33^2 = 1089, 333^2 = 110889, ...
+    assert entry["remainder"] == "1" * 2999 + "0" + "8" * 2999 + "9"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+@pytest.mark.parametrize("argv", [("nf", "x0 - 3", "x0^2"), ("gb", "x0+")],
+                         ids=["ok", "input-error"])
+def test_main_restores_the_interpreter_digit_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    run_cli(capsys, *argv)
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_nf_refuses_an_integer_beyond_the_digit_cap(capsys):
+    code, out, err = run_cli(capsys, "nf", "x0", "7" * 5000 + "*x0^2")
+    assert (code, out) == (2, "")
+    assert err == "input error: integer of 5000 digits is too long (at position 0)\n"
+
+
+# a planted type-I family with parameters spread to 150 (cuspbench:
+# planted.type_one(Random(7), 1, 3, spread_params(150))); its pullback
+# sextic has 10-13 digit coefficients
+SPREAD_150_MANIFEST = """\
+Lp = -x1 + x3
+Lpp = -x0 - x1 + x2 - x3
+Fp = x1 - x2 + x3
+Fpp = -x0 - x1 - x2
+R = -518036415283*x0^2 + 802796630251*x0*x1 + 2449109268529*x0*x2\
+ - 4351865837841*x0*x3 + 96699096313*x1^2 - 2268761726894*x1*x2\
+ + 2043001432481*x1*x3 - 2810216985242*x2^2 + 10891903118800*x2*x3\
+ - 8056639784438*x3^2
+"""
+
+
+def test_cusps_on_large_coefficients_finishes(capsys, tmp_path):
+    path = tmp_path / "fam.txt"
+    path.write_text(SPREAD_150_MANIFEST)
+    started = time.perf_counter()
+    code, report, _ = run_json(capsys, "--json", "cusps", str(path))
+    assert time.perf_counter() - started < 5.0
+    assert code == 0
+    entry = next(r for r in report["results"] if r["name"] == "cusp candidates")
+    assert len(entry["points"]) == 6
+    assert entry["unresolved"] == []
+    kinds = [r["kind"] for r in report["results"]
+             if r["name"].startswith("classification")]
+    assert kinds == ["A2"] * 6

@@ -1,5 +1,7 @@
+import time
 from dataclasses import fields
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -367,6 +369,83 @@ def test_binary_form_roots():
         binary_form_roots(pring.zero())
     with pytest.raises(ValueError):
         binary_form_roots(t0 + pring.one())
+
+
+def _planted_binary_form(rng, pring):
+    """(form, roots in search order, quadratic or None): a Fraction scalar
+    times planted linear factors, sometimes t0 or t1, times an optional
+    irreducible quadratic.  End coefficients stay below 10^10, because the
+    divisor search trial-divides them."""
+    t0, t1 = pring.gens()
+    while True:
+        planted = {}
+        for _ in range(rng.randint(0, 4)):
+            num = rng.choice((1, -1)) * round(10 ** rng.uniform(0, 4))
+            root = Fraction(num, round(10 ** rng.uniform(0, 4)))
+            planted[root] = min(3, planted.get(root, 0) + rng.randint(1, 3))
+        lead = tail = 1
+        for root, m in planted.items():
+            lead *= root.denominator ** m
+            tail *= abs(root.numerator) ** m
+        if max(lead, tail) < 10 ** 10:
+            break
+    form = pring.one() * Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+    for root, m in planted.items():
+        form = form * (t0 * root.denominator - t1 * root.numerator) ** m
+    roots = sorted(planted, key=lambda r: (abs(r.numerator), r.denominator,
+                                           r.numerator < 0))
+    roots = [(r, Fraction(1)) for r in roots]
+    if rng.random() < 0.3:
+        form = form * t0 ** rng.randint(1, 3)
+        roots.insert(0, (Fraction(0), Fraction(1)))
+    if rng.random() < 0.3:
+        form = form * t1 ** rng.randint(1, 3)
+        roots.insert(0, (Fraction(1), Fraction(0)))
+    quadratic = None
+    if rng.random() < 0.5:
+        while True:
+            a, b, c = (rng.randint(-9, 9) for _ in range(3))
+            disc = b * b - 4 * a * c
+            if a and c and (disc < 0 or isqrt(disc) ** 2 != disc):
+                break
+        quadratic = t0 * t0 * a + t0 * t1 * b + t1 * t1 * c
+        form = form * quadratic
+    return form, roots, quadratic
+
+
+def test_binary_form_roots_find_planted_roots(make_rng):
+    rng = make_rng(1200)
+    pring = param_ring()
+    for _ in range(300):
+        form, roots, quadratic = _planted_binary_form(rng, pring)
+        found, unresolved = binary_form_roots(form)
+        assert found == roots
+        if quadratic is None:
+            assert unresolved == ()
+            continue
+        (rest,) = unresolved
+        assert rest * quadratic.leading_coefficient() == \
+            quadratic * rest.leading_coefficient()
+        assert rest.leading_coefficient() == form.leading_coefficient()
+
+
+# the pullback sextic of the planted type-I family with parameters spread to
+# 150 (cuspbench: planted.type_one(Random(7), 1, 3, spread_params(150)))
+SPREAD_150_SEXTIC = (
+    "5896497600*t0^6 - 433693100640*t0^5*t1 - 687938439412*t0^4*t1^2"
+    " + 3569230731852*t0^3*t1^3 - 2636861513420*t0^2*t1^4"
+    " + 430055201556*t0*t1^5 + 9830620800*t1^6")
+
+
+def test_binary_form_roots_of_a_sextic_with_large_coefficients_is_fast():
+    sextic = param_ring().parse(SPREAD_150_SEXTIC)
+    started = time.perf_counter()
+    roots, unresolved = binary_form_roots(sextic)
+    assert time.perf_counter() - started < 2.0
+    assert unresolved == ()
+    assert {t0 / t1 for t0, t1 in roots} == {
+        Fraction(75), Fraction(91, 60), Fraction(-3, 148), Fraction(32, 119),
+        Fraction(31, 45), Fraction(-121, 31)}
 
 
 def test_fiber_change_identity(ex61_family):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -151,11 +152,27 @@ def test_parse_rejects_digits_outside_ascii(ring, text):
 
 
 def test_parse_rejects_integers_int_cannot_read(ring):
-    # int() refuses more digits than sys.get_int_max_str_digits()
+    # DIGIT_CAP is the interpreter's default int/str limit
     for text in ("7" * 5000 + "*x0", "1/" + "7" * 5000, "x0^" + "9" * 5000):
         with pytest.raises(ParseError) as err:
             ring.parse(text)
         assert "5000 digits" in str(err.value)
+
+
+def test_digit_cap_holds_without_the_interpreter_limit(ring, gens):
+    from cuspquartics.polyring import DIGIT_CAP
+
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert ring.parse("9" * DIGIT_CAP + "*x0") == gens[0] * (10 ** DIGIT_CAP - 1)
+        with pytest.raises(ParseError) as err:
+            ring.parse("9" * (DIGIT_CAP + 1) + "*x0")
+        assert f"{DIGIT_CAP + 1} digits is too long" in str(err.value)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_parse_nesting_cap(ring, gens):
