@@ -11,8 +11,8 @@ as an attribute of the package, but executes none of them: each is a
 ``importlib.util.LazyLoader`` module whose source runs on its first
 attribute access (``vars()`` included).  A process therefore runs only the
 layers it touches.  ``import cuspquartics.cli`` executes ``polyring`` and
-``cli``; ``gb`` and ``nf`` add ``groebner``, ``code`` adds ``geometry`` and
-``codes``, ``enumerate-sets`` adds ``linalg`` to those, ``construct``,
+``cli``; ``gb`` and ``nf`` add ``groebner``, ``code`` and ``enumerate-sets``
+add ``linalg``, ``geometry`` and ``codes``, ``construct``,
 ``cusps`` and ``verify-example ex61|ex62`` execute every layer but
 ``codes``, and ``verify-example barth`` executes all of them.  The public
 names below are served from their layers on first use, so ``from

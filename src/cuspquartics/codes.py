@@ -1,7 +1,8 @@
 """Ternary linear codes attached to cusp configurations.
 
 Words live in F3^q with the output convention that the residue 2 prints as
--1.  A code is given by generator words; supports of nonzero codewords are
+-1.  A code is given by generator words; its echelon form and membership
+come from ``linalg.rref`` over GF(3).  Supports of nonzero codewords are
 the combinatorial shadows of candidate three-divisible cusp sets.  By
 Bonisoli's theorem (Ars Combin. 18, 1984) a two-dimensional ternary code
 whose nonzero words all have weight 3m is a replicated [4, 2, {3}] simplex
@@ -15,10 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .geometry import ProjectivePoint
+from .polyring import GF
+
+F3 = GF(3)
 
 
 def f3_word(values):
@@ -48,29 +52,6 @@ def griesmer_holds(q, d, r):
     return q >= total + d - i
 
 
-def _rref_mod3(rows):
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] % 3 != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 if m[r][c] % 3 == 1 else 2
-        m[r] = [(x * inv) % 3 for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % 3:
-                f = m[i][c]
-                m[i] = [(a - f * b) % 3 for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return [row for row in m[:r]], pivots
-
-
 class TernaryCode:
     """A linear code over F3 given by generator words."""
 
@@ -81,23 +62,18 @@ class TernaryCode:
             if len(g) != length:
                 raise ValueError(f"generator {signed_word(g)} has length "
                                  f"{len(g)}, expected {length}")
-        rows, pivots = _rref_mod3(self.generators)
-        self.matrix = tuple(tuple(r) for r in rows)
+        rows, pivots = linalg.rref(self.generators, F3)
+        self.matrix = tuple(tuple(r) for r in rows[:len(pivots)])
         self.pivots = tuple(pivots)
         self.dimension = len(pivots)
 
     def codewords(self):
         """All 3^d codewords, in deterministic order."""
         words = []
-        d = self.dimension
-        for idx in range(3 ** d):
-            coeffs = []
-            n = idx
-            for _ in range(d):
-                coeffs.append(n % 3)
-                n //= 3
+        # the coefficient of the first row varies fastest
+        for coeffs in product(range(3), repeat=self.dimension):
             word = [0] * self.length
-            for c, row in zip(coeffs, self.matrix):
+            for c, row in zip(reversed(coeffs), self.matrix):
                 if c:
                     word = [(w + c * x) % 3 for w, x in zip(word, row)]
             words.append(tuple(word))
@@ -107,12 +83,7 @@ class TernaryCode:
         word = f3_word(word)
         if len(word) != self.length:
             return False
-        work = list(word)
-        for row, pivot in zip(self.matrix, self.pivots):
-            if work[pivot]:
-                f = work[pivot]
-                work = [(a - f * b) % 3 for a, b in zip(work, row)]
-        return all(v == 0 for v in work)
+        return len(linalg.rref(self.matrix + (word,), F3)[1]) == self.dimension
 
     def weight_distribution(self):
         dist = {}

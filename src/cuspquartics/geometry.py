@@ -26,14 +26,14 @@ SURFACE_VARS = ("x0", "x1", "x2", "x3")
 PARAM_VARS = ("t0", "t1")
 
 
-def surface_ring(order="grevlex"):
+def surface_ring():
     """The projective coordinate ring QQ[x0..x3]."""
-    return PolyRing(SURFACE_VARS, QQ, order)
+    return PolyRing(SURFACE_VARS, QQ)
 
 
-def param_ring(order="grevlex"):
+def param_ring():
     """The parameter ring QQ[t0, t1] of the carrier curve."""
-    return PolyRing(PARAM_VARS, QQ, order)
+    return PolyRing(PARAM_VARS, QQ)
 
 
 class GeometryError(Exception):
@@ -101,10 +101,9 @@ class Line:
 
     @staticmethod
     def through(point_a, point_b, ring):
-        rows = [list(point_a.coords), list(point_b.coords)]
-        if linalg.rank(rows) != 2:
+        basis = linalg.nullspace([list(point_a.coords), list(point_b.coords)])
+        if len(basis) != 2:
             raise ValueError("coincident points do not span a line")
-        basis = linalg.nullspace(rows)
         canonical, _ = linalg.rref(basis)
         forms = []
         for row in canonical:
@@ -251,12 +250,11 @@ def build_family(lp, lpp, fp, fpp, residual):
 def classify_configuration(lp, lpp, fp, fpp):
     """Type I (carrier is a twisted cubic) or type II (cone vertex)."""
     _check_form_family(lp, lpp, fp, fpp)
-    rows = [linear_coefficients(f) for f in (lp, lpp, fp, fpp)]
-    r = linalg.rank(rows)
+    kernel = linalg.nullspace([linear_coefficients(f) for f in (lp, lpp, fp, fpp)])
+    r = 4 - len(kernel)
     if r == 4:
         return Configuration(ConfigurationType.TWISTED_CUBIC)
     if r == 3:
-        kernel = linalg.nullspace(rows)
         vertex = ProjectivePoint(kernel[0])
         return Configuration(ConfigurationType.CONCURRENT_LINES, vertex=vertex)
     raise DegenerateConfigurationError(
@@ -337,10 +335,9 @@ def binary_form_roots(form):
 # cusp search
 # ---------------------------------------------------------------------------
 
-def twisted_cubic_map(pring=None):
+def twisted_cubic_map():
     """The degree-3 parametrization (t0^2 t1, t0 t1^2, t0^3, t1^3)."""
-    pring = pring or param_ring()
-    t0, t1 = pring.gens()
+    t0, t1 = param_ring().gens()
     return (t0 * t0 * t1, t0 * t1 * t1, t0 ** 3, t1 ** 3)
 
 
@@ -387,7 +384,7 @@ def _cusps_twisted_cubic(family, config):
     rows = [linear_coefficients(f) for f in family.forms()]
     inverse = linalg.inverse(rows)
     pring = param_ring()
-    phi = twisted_cubic_map(pring)
+    phi = twisted_cubic_map()
     # x = inverse . phi(t) is the carrier curve in the original coordinates
     pullback = [sum((phi[j] * inverse[i][j] for j in range(4)), pring.zero())
                 for i in range(4)]
@@ -522,13 +519,12 @@ def fiber_change(family, a):
 # the eight-cusp family and the worked examples
 # ---------------------------------------------------------------------------
 
-def eight_cusp_quartic(k, ring=None):
+def eight_cusp_quartic(k):
     """The classical one-parameter quartic with eight singular points."""
     k = Fraction(k)
     if k == 0:
         raise ValueError("the family needs k != 0")
-    ring = ring or surface_ring()
-    x0, x1, x2, x3 = ring.gens()
+    x0, x1, x2, x3 = surface_ring().gens()
     lead = (x0 * x0 * x1 * x1) * (1 + k) ** 3 \
         + (x0 * x1 * x2 * x3) * (2 * k * (1 - k * k)) \
         - (x2 * x2 * x3 * x3) * (1 - k) ** 3
@@ -545,18 +541,16 @@ def eight_cusp_points():
     return tuple(ProjectivePoint(p) for p in data)
 
 
-def twisted_cubic_example(ring=None):
+def twisted_cubic_example():
     """The worked type (I) family: six cusps on a twisted cubic."""
-    ring = ring or surface_ring()
-    x0, x1, x2, x3 = ring.gens()
+    x0, x1, x2, x3 = surface_ring().gens()
     s = x1 * x1 * 49 + x2 * x2 - x3 * x3 * 36 - x0 * x0 * 14
     return build_family(x0, x1, x2, x3, s - x0 * x1)
 
 
-def concurrent_lines_example(ring=None):
+def concurrent_lines_example():
     """The worked type (II) family: six cusps on three concurrent lines."""
-    ring = ring or surface_ring()
-    x0, x1, x2, x3 = ring.gens()
+    x0, x1, x2, x3 = surface_ring().gens()
     fpp = (x1 + x2) * 6 - x0 * 11
     residual = x3 * x3 - x2 * x2 - x0 * x1
     return build_family(x0, x1, x2, fpp, residual)
@@ -574,9 +568,9 @@ def family_to_manifest(family):
     return "".join(f"{k} = {v}\n" for k, v in zip(MANIFEST_KEYS, values))
 
 
-def family_from_manifest(text, ring=None):
+def family_from_manifest(text):
     """Parse a five-line manifest (``key = polynomial``, '#' comments)."""
-    ring = ring or surface_ring()
+    ring = surface_ring()
     found = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,46 +1,59 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over QQ (the default) or a prime field GF(p).
 
-Matrices are lists of lists of ``Fraction``; everything here is plain
-fraction-free-enough Gaussian elimination, small and deterministic.  Used
-for configuration ranks, projective vertices, points of the type-II carrier
-lines, kernel directions of local quadratic forms and vanishing-condition
-null spaces.
+Matrices are lists of rows.  ``_eliminate`` is the package's one pivot
+loop: Gauss-Jordan elimination that normalises entries with the domain's
+``convert`` and divides by pivots with its ``invert``.  ``rref``, ``rank``,
+``nullspace``, ``inverse`` and ``solve`` read its reduced rows, ``det`` the
+signed product of its pivots, and ``codes`` its echelon forms over GF(3).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
+from .polyring import QQ
 
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [list(map(Fraction, row)) for row in rows]
+
+def _eliminate(rows, domain):
+    """Gauss-Jordan elimination: (reduced rows, pivot columns, signed
+    product of the pivots).  The last is the determinant of a square matrix
+    of full rank."""
+    convert = domain.convert
+    m = [[convert(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
+    scale = domain.one
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            scale = -scale
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        scale = convert(scale * pv)
+        inv = domain.invert(pv)
+        # every row from r on is zero left of column c
+        row = m[r][c:] = [convert(x * inv) for x in m[r][c:]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i][c:] = [convert(a - f * b) for a, b in zip(m[i][c:], row)]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
+    return m, pivots, scale
+
+
+def rref(rows, domain=QQ):
+    """Reduced row echelon form over the domain; returns (matrix, pivot
+    column list), with the zero rows of the matrix last."""
+    m, pivots, _ = _eliminate(rows, domain)
     return m, pivots
 
 
 def rank(rows):
-    if not rows:
-        return 0
     return len(rref(rows)[1])
 
 
@@ -57,8 +70,8 @@ def nullspace(rows):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [QQ.zero] * ncols
+        v[fc] = QQ.one
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -66,32 +79,16 @@ def nullspace(rows):
 
 
 def det(rows):
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    _, pivots, scale = _eliminate(rows, QQ)
+    return scale if len(pivots) == n else QQ.zero
 
 
 def inverse(rows):
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -105,11 +102,11 @@ def mat_vec(a, v):
 def solve(rows, rhs):
     """One exact solution of A x = b, or None if inconsistent."""
     ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [QQ.zero] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][-1]
     return x

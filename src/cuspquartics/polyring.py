@@ -17,6 +17,7 @@ makes a raw sum or product a ``Fraction`` or a residue in [0, p).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 EXPONENT_CAP = 1 << 16
 # the longest integer literal the parser reads (the interpreter's default
@@ -87,7 +88,7 @@ class PrimeField:
     def __init__(self, p):
         if not (2 <= p < 2**31):
             raise ValueError("prime must satisfy 2 <= p < 2^31")
-        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -124,7 +125,9 @@ _GF_CACHE: dict[int, PrimeField] = {}
 
 
 def GF(p):
-    """Return the (cached) prime field with p elements."""
+    """Return the (cached) prime field with p elements; p is an int."""
+    if not isinstance(p, int):
+        raise TypeError(f"the order of a prime field must be an int, not {p!r}")
     if p not in _GF_CACHE:
         _GF_CACHE[p] = PrimeField(p)
     return _GF_CACHE[p]
@@ -466,7 +469,6 @@ class Polynomial:
                 raise TypeError("images must be polynomials")
             if im.ring != target:
                 raise RingMismatchError("images live in different rings")
-        out = target.zero()
         powers = [{0: target.one()} for _ in range(self.ring.nvars)]
 
         def power(i, e):
@@ -475,13 +477,17 @@ class Polynomial:
                 cache[e] = cache[e - 1] * images[i] if e - 1 in cache else images[i] ** e
             return cache[e]
 
+        # the pieces are summed in one dict, which is sorted once
+        one, zero, out = target.one(), target.domain.zero, {}
         for m, c in self.terms:
-            piece = target.constant(_convert_between(c, self.ring.domain, target.domain))
+            c = _convert_between(c, self.ring.domain, target.domain)
+            piece = one
             for i, e in enumerate(m):
                 if e:
                     piece = piece * power(i, e)
-            out = out + piece
-        return out
+            for mono, d in piece.terms:
+                out[mono] = out.get(mono, zero) + c * d
+        return target.from_dict(out)
 
     def evaluate(self, point):
         """Exact value at a point (a sequence of domain scalars)."""

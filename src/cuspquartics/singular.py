@@ -24,6 +24,7 @@ from .geometry import (
     cusp_candidates,
     linear_coefficients,
     restrict_to_line,
+    surface_ring,
 )
 from .groebner import Ideal, buchberger, radical_membership
 from .polyring import QQ, PolyRing
@@ -193,10 +194,10 @@ class LocalData:
         quad = [[self.hessian[i][j] for j in free] for i in free]
         if any(self.gradient[i] for i in free):
             kind = SingularityKind.SMOOTH
-        elif (rank := linalg.rank(quad)) == len(free):
-            kind = SingularityKind.A1
-        elif rank == len(free) - 1 > 0:
-            direction = linalg.primitive_integer_vector(linalg.nullspace(quad)[0])
+        elif not (kernel := linalg.nullspace(quad)):
+            kind, rank = SingularityKind.A1, len(free)
+        elif (rank := len(free) - len(kernel)) == len(free) - 1 > 0:
+            direction = linalg.primitive_integer_vector(kernel[0])
             w = list(direction)
             if self.chart is not None:
                 w.insert(self.chart, 0)
@@ -443,13 +444,11 @@ def _monomials_of_degree(ring, d):
     return sorted(rec((), d, n), key=ring.key, reverse=True)
 
 
-def forms_through_points(points, degree, ring=None):
+def forms_through_points(points, degree):
     """Basis of the degree-d forms vanishing at all points (exact null space)."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if ring is None:
-        from .geometry import surface_ring
-        ring = surface_ring()
+    ring = surface_ring()
     mons = _monomials_of_degree(ring, degree)
     if not points:
         return [ring.monomial(m) for m in mons]

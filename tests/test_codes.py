@@ -1,5 +1,5 @@
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -113,6 +113,24 @@ def test_code_validation_and_contains():
     assert code.contains((1, 1, 1, 1, 1, 1, 0, 0))
     assert code.contains((1, 1, -1, -1, 0, 0, 1, 1))
     assert not code.contains((1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_contains_matches_the_codewords(make_rng):
+    rng = make_rng(43)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        gens = [tuple(rng.randrange(3) for _ in range(n))
+                for _ in range(rng.randint(0, 4))]
+        code = TernaryCode(n, gens)
+        words = set(code.codewords())
+        # the span of the generators, by brute force
+        assert words == {tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % 3
+                               for j in range(n))
+                         for coeffs in product(range(3), repeat=len(gens))}
+        for w in product(range(3), repeat=n):
+            assert code.contains(w) == (w in words), (gens, w)
+        assert not code.contains((0,) * (n + 1))
+        assert not code.contains((0,) * (n - 1))
 
 
 def test_enumeration_matches_rank(make_rng):

@@ -214,6 +214,25 @@ def test_parse_long_sum_is_linear(ring):
     assert elapsed < 10.0, f"5000 terms took {elapsed:.1f} s, budget is 10 s"
 
 
+def test_substitute_long_sum_is_linear(ring):
+    # adding the pieces one at a time took 4.9 s for 2000 terms
+    rng = random.Random(2000)
+    monomials = set()
+    while len(monomials) < 2000:
+        monomials.add(tuple(rng.randint(0, 12) for _ in range(4)))
+    coeffs = {m: Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9))
+              for m in sorted(monomials)}
+    x0, x1, x2, x3 = ring.gens()
+    # x0^a x1^b x2^c x3^d -> x0^d x1^(a + d) x2^b x3^c is injective
+    images = (x1, x2, x3, x0 * x1)
+    started = time.monotonic()
+    image = ring.from_dict(coeffs).substitute(images)
+    elapsed = time.monotonic() - started
+    assert image == ring.from_dict({(d, a + d, b, c): coeff
+                                    for (a, b, c, d), coeff in coeffs.items()})
+    assert elapsed < 1.0, f"2000 terms took {elapsed:.2f} s, budget is 1 s"
+
+
 def test_format_canonical(ring):
     assert str(ring.zero()) == "0"
     f = ring.parse("-x0 + x1^2 - 3/4")
@@ -256,6 +275,19 @@ def test_prime_field_validation():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_prime_field_order_must_be_an_int():
+    # 7.0 == 7 with the same hash, so the type is checked before the cache:
+    # once before GF(7) may be cached and once after
+    for _ in range(2):
+        for p in (7.0, Fraction(7), "7"):
+            with pytest.raises(TypeError):
+                GF(p)
+        field = GF(7)
+        assert field.p == 7 and type(field.p) is int
+        assert field.convert(10) == 3 and type(field.convert(10)) is int
+        assert type(field.convert(Fraction(1, 2))) is int
 
 
 def test_hash_and_equality(ring):
