@@ -15,12 +15,11 @@ overlap and coplanarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
 from .geometry import ProjectivePoint
-from .polyring import GF
+from .polyring import GF, QQ
 
 F3 = GF(3)
 
@@ -131,7 +130,7 @@ def coplanar_subsets(points, k):
 def _coords(p):
     if isinstance(p, ProjectivePoint):
         return list(p.coords)
-    return [Fraction(c) for c in p]
+    return [QQ.convert(c) for c in p]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(QQ.convert, coords))
         if all(c == 0 for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
         lead = next(c for c in coords if c != 0)

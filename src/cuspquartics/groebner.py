@@ -7,15 +7,17 @@ useless pairs are discarded with Buchberger's product and chain criteria in
 the Gebauer-Moeller formulation.
 
 One Buchberger loop and one reducer serve every caller and both coefficient
-domains.  They work on coefficient dicts: over QQ the coefficients are
-integers, divisors are content-free, and a reduction step scales the work by
-a gcd cofactor instead of dividing, with content removed on the way; over
-GF(p) the coefficients are residues and divisors are monic, so no step
-scales.  Zero tests (membership, radical exponents, the S-pair audit) read
-that primitive remainder directly; ``normal_form`` divides it by the unit
-the reducer tracked, so remainders exposed to callers are exact.  The audit
-checks the pairs that the criteria keep when they are replayed over the
-basis.
+domains.  They work on coefficient dicts keyed by packed monomials: inside
+the engine a monomial is one integer, whose order is the term order and
+whose sum is the product (``_Engine``); polynomials outside keep exponent
+tuples.  Over QQ the coefficients are integers, divisors are content-free,
+and a reduction step scales the work by a gcd cofactor instead of dividing,
+with content removed on the way; over GF(p) the coefficients are residues
+and divisors are monic, so no step scales.  Zero tests (membership, radical
+exponents, the S-pair audit) read that primitive remainder directly;
+``normal_form`` divides it by the unit the reducer tracked, so remainders
+exposed to callers are exact.  The audit checks the pairs that the criteria
+keep when they are replayed over the basis.
 """
 
 from __future__ import annotations
@@ -25,13 +27,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .polyring import (
+    EXPONENT_CAP,
     QQ,
+    ExponentOverflowError,
     RingMismatchError,
     monomial_div,
     monomial_lcm,
     monomial_mul,
-    negated_order_key,
 )
+
+# bits per exponent field: twice EXPONENT_CAP and a guard bit
+_W = (2 * EXPONENT_CAP).bit_length() + 1
+_FIELD = (1 << _W) - 1
 
 
 class Ideal:
@@ -97,7 +104,7 @@ class GroebnerBasis:
         """
         engine = _Engine(self.ring)
         divisors = engine.divisors(self.polys)
-        lms = [d[0] for d in divisors]
+        lms = [engine.unpack(d[0]) for d in divisors]
         pairs = set()
         for t in range(len(lms)):
             pairs = _update_pairs(lms, pairs, t)
@@ -130,28 +137,63 @@ def s_polynomial(f, g):
 
 class _Engine:
     """Coefficient-dict arithmetic of one ring: integers over QQ, residues
-    over GF(p).  A divisor is a view (lm, lc, items) of a nonzero dict."""
+    over GF(p).  A divisor is a view (lm, lc, items, peak) of a nonzero dict,
+    peak the exponentwise maximum of its monomials.
 
-    __slots__ = ("ring", "key", "negkey", "modulus")
+    A monomial is one int: n W-bit exponent fields F, the top bit of each a
+    zero guard, under a key linear in the exponents: deg*2^(nW) - F for
+    grevlex, deg*2^(nW) + F_rev for grlex, F_rev for lex (F_rev holds the
+    fields in reverse order).  So the order is int comparison, a product is
+    a sum, and a divides b iff b's low part minus a's sets no guard bit.  A
+    field holds twice the exponent cap, so a sum of two capped monomials
+    fits; and the peak of all products of two sets is the sum of their
+    peaks, so one cap check covers a whole product or reduction step.
+    """
+
+    __slots__ = ("ring", "modulus", "units", "low", "guard", "over")
 
     def __init__(self, ring):
         self.ring = ring
-        self.key = ring.key
-        self.negkey = negated_order_key(ring.order)
         self.modulus = None if ring.domain == QQ else ring.domain.p
+        L = ring.nvars * _W
+        fields = [1 << i for i in range(0, L, _W)]
+        deg = 0 if ring.order == "lex" else 1 << L
+        keys = ([deg - f for f in fields] if ring.order == "grevlex"
+                else [deg + f for f in reversed(fields)])
+        self.units = [(k << L) + f for k, f in zip(keys, fields)]
+        self.low = (1 << L) - 1
+        self.guard = sum(fields) << (_W - 1)
+        # sets the guard bit of every field above EXPONENT_CAP
+        self.over = sum(fields) * ((1 << (_W - 1)) - 1 - EXPONENT_CAP)
+
+    def pack(self, m):
+        return sum(e * u for e, u in zip(m, self.units))
+
+    def unpack(self, m):
+        return tuple(m >> i & _FIELD for i in range(0, len(self.units) * _W, _W))
+
+    def divides(self, a, b):
+        return not ((b & self.low) - (a & self.low)) & self.guard
+
+    def peak(self, monomials):
+        return self.pack(map(max, zip(*map(self.unpack, monomials))))
+
+    def check_cap(self, m):
+        if ((m & self.low) + self.over) & self.guard:
+            raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
 
     def coefficients(self, f):
-        """(p, scale): the coefficient dict p of scale * f, integral over QQ."""
-        if self.modulus:
-            return dict(f.terms), 1
+        """(p, scale): the coefficient dict p of scale * f, integral over QQ
+        (residues are ints, so scale is 1 over GF(p))."""
         scale = lcm(*(c.denominator for _, c in f.terms))
-        return {m: c.numerator * (scale // c.denominator) for m, c in f.terms}, scale
+        return {self.pack(m): c.numerator * (scale // c.denominator)
+                for m, c in f.terms}, scale
 
     def polynomial(self, p, unit):
         """The polynomial p / unit, exact in the ring's domain."""
         dom = self.ring.domain
         inv = dom.invert(dom.convert(unit))
-        return self.ring.from_dict({m: dom.convert(c) * inv
+        return self.ring.from_dict({self.unpack(m): dom.convert(c) * inv
                                     for m, c in p.items()})
 
     def divisors(self, polys):
@@ -161,7 +203,7 @@ class _Engine:
     def divisor(self, p):
         """View of a nonzero dict as a divisor: content-free over QQ, monic
         over GF(p)."""
-        lm = max(p, key=self.key)
+        lm = max(p)
         if self.modulus:
             inv = pow(p[lm], -1, self.modulus)
             p = {m: c * inv % self.modulus for m, c in p.items()}
@@ -169,39 +211,31 @@ class _Engine:
             g = gcd(*p.values())
             if g > 1:
                 p = {m: c // g for m, c in p.items()}
-        return lm, p[lm], tuple(p.items())
+        return lm, p[lm], tuple(p.items()), self.peak(p)
+
+    def combine(self, parts):
+        """The sum of c * m * items over parts (m, c, items, peak)."""
+        out = {}
+        for m, c, items, peak in parts:
+            self.check_cap(m + peak)
+            for n, k in items:
+                out[m + n] = out.get(m + n, 0) + c * k
+        if self.modulus:
+            return {m: c % self.modulus for m, c in out.items() if c % self.modulus}
+        return {m: c for m, c in out.items() if c}
 
     def spair(self, di, dj):
         """S-polynomial of two divisors, free of denominators."""
-        lmi, ci, fi = di
-        lmj, cj, fj = dj
-        top = monomial_lcm(lmi, lmj)
+        lmi, ci, fi, peaki = di
+        lmj, cj, fj, peakj = dj
+        top = self.pack(monomial_lcm(self.unpack(lmi), self.unpack(lmj)))
         g = gcd(ci, cj)
-        a, b = cj // g, ci // g
-        mi, mj = monomial_div(top, lmi), monomial_div(top, lmj)
-        modulus = self.modulus
-        out = {monomial_mul(m, mi): a * c for m, c in fi}
-        for m, c in fj:
-            mm = monomial_mul(m, mj)
-            s = out.get(mm, 0) - b * c
-            if modulus:
-                s %= modulus
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-        return out
+        return self.combine(((top - lmi, cj // g, fi, peaki),
+                             (top - lmj, -(ci // g), fj, peakj)))
 
     def mul(self, p, q):
-        modulus = self.modulus
-        out = {}
-        for m, a in p.items():
-            for n, b in q.items():
-                mn = monomial_mul(m, n)
-                out[mn] = out.get(mn, 0) + a * b
-        if modulus:
-            return {m: c % modulus for m, c in out.items() if c % modulus}
-        return {m: c for m, c in out.items() if c}
+        items, peak = q.items(), self.peak(q)
+        return self.combine((m, c, items, peak) for m, c in p.items())
 
     def reduce(self, p, divisors):
         """(r, unit): remainder r of p under full division by ``divisors``.
@@ -212,26 +246,28 @@ class _Engine:
         exact remainder, for a positive rational unit; over QQ r is
         content-free, over GF(p) unit is 1.
         """
-        negkey = self.negkey
         modulus = self.modulus
+        low, guard = self.low, self.guard
         work = dict(p)
         remainder = {}
-        heap = [(negkey(m), m) for m in work]
+        heap = [-m for m in work]
         heapq.heapify(heap)
         num = den = 1
         steps = 0
         while heap:
-            _, lm = heapq.heappop(heap)
+            lm = -heapq.heappop(heap)
             c = work.get(lm)
             if c is None:
                 continue
-            for dlm, dlc, ditems in divisors:
-                q = monomial_div(lm, dlm)
-                if q is not None:
+            f = lm & low
+            for dlm, dlc, ditems, dpeak in divisors:
+                if not (f - (dlm & low)) & guard:
+                    q = lm - dlm
                     break
             else:
                 remainder[lm] = work.pop(lm)
                 continue
+            self.check_cap(q + dpeak)
             g = gcd(c, dlc)
             a, b = c // g, dlc // g
             if b < 0:
@@ -243,13 +279,13 @@ class _Engine:
                 for m in remainder:
                     remainder[m] *= b
             for m, k in ditems:
-                mm = monomial_mul(q, m)
+                mm = q + m
                 s = work.get(mm, 0) - a * k
                 if modulus:
                     s %= modulus
                 if s:
                     if mm not in work:
-                        heapq.heappush(heap, (negkey(mm), mm))
+                        heapq.heappush(heap, -mm)
                     work[mm] = s
                 else:
                     work.pop(mm, None)
@@ -352,7 +388,7 @@ def buchberger(ideal, order=None):
     def append(p):
         nonlocal pairs
         G.append(engine.divisor(p))
-        lms.append(G[-1][0])
+        lms.append(engine.unpack(G[-1][0]))
         pairs = _update_pairs(lms, pairs, len(G) - 1)
 
     for g in gens:
@@ -376,13 +412,12 @@ def _interreduce(engine, divisors):
 
     The result is sorted by leading monomial: each element keeps its lead.
     """
-    key = engine.key
     minimal = []
-    for d in sorted(divisors, key=lambda d: key(d[0])):
-        if all(monomial_div(d[0], e[0]) is None for e in minimal):
+    for d in sorted(divisors, key=lambda d: d[0]):
+        if not any(engine.divides(e[0], d[0]) for e in minimal):
             minimal.append(d)
     reduced = []
-    for i, (lm, _, items) in enumerate(minimal):
+    for i, (lm, _, items, _) in enumerate(minimal):
         r, _ = engine.reduce(dict(items), minimal[:i] + minimal[i + 1:])
         reduced.append(engine.polynomial(r, r[lm]))
     return reduced

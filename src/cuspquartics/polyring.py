@@ -169,17 +169,6 @@ def order_key(order):
     raise ValueError(f"unknown term order {order!r}; expected one of {ORDER_NAMES}")
 
 
-def negated_order_key(order):
-    """Key whose min is the largest monomial (for heap-based division)."""
-    if order == "lex":
-        return lambda m: tuple(-e for e in m)
-    if order == "grlex":
-        return lambda m: (-sum(m), tuple(-e for e in m))
-    if order == "grevlex":
-        return lambda m: (-sum(m), tuple(reversed(m)))
-    raise ValueError(f"unknown term order {order!r}; expected one of {ORDER_NAMES}")
-
-
 # ---------------------------------------------------------------------------
 # ring and polynomial
 # ---------------------------------------------------------------------------

@@ -478,6 +478,9 @@ BAD_INPUTS = {
                         "input error: exponent exceeds cap 65536"),
     "nf-duplicate-vars": (("nf", "x0", "x0^2", "--vars", "x0,x0"), None, 2,
                           "input error: duplicate variable names"),
+    # parsed within the cap; the reducer's product x1^80000 passes it
+    "nf-exponent-cap-in-reduction": (("nf", "x0 - x1^40000", "x0^2", "--order", "lex"),
+                                     None, 2, "input error: exponent exceeds cap 65536"),
     "manifest-parse": (("cusps", "{path}"),
                        _FORMS.replace(b"x0\n", b"x0*(x0\n", 1) + b"R = x2*x3\n", 2,
                        "input error: unbalanced parenthesis (at position 6)"),

@@ -159,6 +159,13 @@ def test_coplanar_subsets():
         coplanar_subsets(pts, 3)
 
 
+def test_coplanar_subsets_refuses_float_coordinates():
+    pts = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0.5, 0.5, 0, 0)]
+    with pytest.raises(TypeError, match="cannot coerce 0.5 into QQ"):
+        coplanar_subsets(pts, 4)
+    assert coplanar_subsets(pts[:3] + [("1/2", "1/2", 0, 0)], 4) == [(1, 2, 3, 4)]
+
+
 def test_configuration_symmetries_and_orbits():
     config = configuration_from_coordinate_swaps(eight_cusp_points())
     assert config.orbits() == [(1, 2, 3, 4), (5, 6), (7, 8)]

@@ -69,6 +69,13 @@ def test_projective_point_normalization():
         ProjectivePoint((0, 0, 0, 0))
 
 
+def test_projective_point_refuses_floats():
+    # an exact point takes ints, fractions and decimal strings, never a float
+    assert ProjectivePoint(("0.1", 1, 0, 0)) == ProjectivePoint((1, 10, 0, 0))
+    with pytest.raises(TypeError, match="cannot coerce 0.1 into QQ"):
+        ProjectivePoint((0.1, 1, 0, 0))
+
+
 def test_line_through(ring):
     a = ProjectivePoint((0, 0, 0, 1))
     b = ProjectivePoint((2, 8, 2, 0))

@@ -1,10 +1,14 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cuspquartics.groebner import (
     GroebnerBasis,
     Ideal,
+    _Engine,
     buchberger,
     ideal_membership,
     is_zero_dimensional_affine,
@@ -12,7 +16,16 @@ from cuspquartics.groebner import (
     radical_membership,
     s_polynomial,
 )
-from cuspquartics.polyring import GF, QQ, PolyRing, monomial_div
+from cuspquartics.polyring import (
+    EXPONENT_CAP,
+    GF,
+    QQ,
+    ExponentOverflowError,
+    PolyRing,
+    monomial_div,
+    monomial_lcm,
+    monomial_mul,
+)
 
 import support
 
@@ -287,3 +300,170 @@ def test_ideal_validation(ring2):
         Ideal([ring2.gen(0), other.gen(0)])
     with pytest.raises(ValueError):
         Ideal([])
+
+
+def test_normal_form_keeps_the_exponent_cap():
+    # x0 -> x1^40000 turns x0^2 into x1^80000, past the cap, inside the reducer
+    ring = PolyRing(("x0", "x1"), QQ, "lex")
+    divisors = [ring.parse("x0 - x1^40000")]
+    for basis in (divisors, buchberger(divisors)):
+        with pytest.raises(ExponentOverflowError, match="exponent exceeds cap 65536"):
+            normal_form(ring.parse("x0^2"), basis)
+    below = [ring.parse("x0 - x1^30000")]
+    assert str(normal_form(ring.parse("x0^2"), below)) == "x1^60000"
+
+
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+def test_packed_monomials_match_exponent_tuples(order):
+    # every monomial with exponents in {0, 1, cap - 1, cap} in three
+    # variables, and seeded ones up to the cap in four
+    rng = random.Random(f"monomials:{order}")
+    edge = (0, 1, EXPONENT_CAP - 1, EXPONENT_CAP)
+    batches = [list(product(edge, repeat=3)),
+               [tuple(rng.choice((rng.randint(0, EXPONENT_CAP), rng.choice(edge)))
+                      for _ in range(4)) for _ in range(60)]]
+    for monomials in batches:
+        ring = PolyRing(tuple(f"x{i}" for i in range(len(monomials[0]))), QQ, order)
+        engine = _Engine(ring)
+        packed = [engine.pack(m) for m in monomials]
+        assert [engine.unpack(pm) for pm in packed] == monomials
+        for a, pa in zip(monomials, packed):
+            for b, pb in zip(monomials, packed):
+                ka, kb = ring.key(a), ring.key(b)
+                assert (pa > pb) - (pa < pb) == (ka > kb) - (ka < kb)
+                try:
+                    ab = monomial_mul(a, b)
+                except ExponentOverflowError:
+                    with pytest.raises(ExponentOverflowError):
+                        engine.check_cap(pa + pb)
+                else:
+                    engine.check_cap(pa + pb)
+                    assert engine.unpack(pa + pb) == ab
+                q = monomial_div(b, a)
+                assert engine.divides(pa, pb) == (q is not None)
+                if q is not None:
+                    assert engine.unpack(pb - pa) == q
+                assert engine.unpack(engine.peak([pa, pb])) == monomial_lcm(a, b)
+
+
+def _differential_lines(order, domain):
+    """Reduced basis, normal form modulo it and plain division by the
+    generators, printed, on 50 seeded ideals in three variables."""
+    rng = random.Random(f"packed:{order}")
+    ring = PolyRing(("x0", "x1", "x2"), QQ, order)
+    target = PolyRing(ring.variables, domain, order)
+    lines = []
+    while len(lines) < 50:
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = [0, 0, 0]
+                for _ in range(rng.randint(1, 3)):
+                    m[rng.randrange(3)] += 1
+                terms[tuple(m)] = rng.randint(-5, 5)
+            f = target.convert(ring.from_dict(terms))
+            if f:
+                gens.append(f)
+        g = target.convert(ring.from_dict(
+            {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-5, 5)
+             for _ in range(4)}))
+        if not gens:
+            continue
+        basis = buchberger(gens)
+        lines.append(" | ".join(("; ".join(map(str, basis)),
+                                 str(normal_form(g, basis)),
+                                 str(normal_form(g, gens)))))
+    return lines
+
+
+def _digest(line):
+    return hashlib.sha256(line.encode()).hexdigest()[:12]
+
+
+# _digest of each line of _differential_lines as the tuple-monomial reducer
+# printed them, before monomials were packed
+FROZEN = {
+    ('lex', 'QQ'): (
+        "9ec75ae01983", "23e90d2b7796", "257e5d2cb0c5", "e599809da0b8", "d39fd95d56a6",
+        "c67f27fc999c", "8f2929d74d5d", "994f0aac699a", "22d281dbdd4f", "90130c0fe592",
+        "bd7dd3218928", "0e593560d5fc", "cac9c6972963", "bc6b996e33ce", "0975c087a5ba",
+        "dc38e93f117b", "d412c2f96ba0", "b8a47420e24a", "a015f802e8c9", "cc46e4b0130e",
+        "e77b50271c8d", "3b9a819cfaf3", "c3d49800b025", "1d41265f53f1", "f2343a05cdaf",
+        "f17f63ab2a60", "c93552587561", "343ebbbcc744", "7741ff44bdff", "fbc27861f1a6",
+        "4105dd4b033a", "44700e39bb0b", "3362d7acd808", "8448881ed390", "0c56a47adb42",
+        "3f911465deaf", "5ab70085e7d2", "e77b50271c8d", "2fc916e17f0f", "00d9f94d36a9",
+        "7b1e2d0cdeac", "91b2ed79b421", "f37711de7ed9", "3741ea5267e5", "e4cf900b214b",
+        "512a6f45ca58", "4645291943fe", "7be40327d8ce", "2b95956be69f", "d86f4e99c5bc",
+    ),
+    ('lex', 'GF(32003)'): (
+        "bf452e70e33c", "707805d9c6a7", "257e5d2cb0c5", "e599809da0b8", "e2335a812508",
+        "c67f27fc999c", "3c635c7dad3c", "675d332a7c0e", "22d281dbdd4f", "976ac4c65d99",
+        "850e93dae9ab", "cb7bda3bf555", "7449cce50fe3", "bc6b996e33ce", "d9ceaf1cb725",
+        "da210962c213", "c55abd1ef1e8", "a4e788f842dd", "ad7f05ea86ff", "aa1a7b1f201d",
+        "e77b50271c8d", "3b9a819cfaf3", "c3d49800b025", "32784a057d97", "92f9d65104a8",
+        "47ff6db00da9", "c93552587561", "56890403d395", "7741ff44bdff", "d2b0d09bc968",
+        "33952c7a9907", "44700e39bb0b", "d7f8bbf04873", "6ce4c9557656", "2930dabe0dec",
+        "3f911465deaf", "c0acefb91b40", "e77b50271c8d", "48bfa28e9ba9", "00d9f94d36a9",
+        "ceec72ac615b", "9bccfb1f8211", "26dbd0922198", "c239a5dff9ff", "133936e90d56",
+        "512a6f45ca58", "887f23631f1d", "9e5d520681a8", "804c9d4e2f5a", "dc42d7da7a0d",
+    ),
+    ('grlex', 'QQ'): (
+        "5c45cfcff0be", "38f40be0bca7", "068f433aead1", "b4dc7e1322af", "abb09d4f85db",
+        "4d815fb09a88", "087d7ba7d9c7", "31d00927ccfe", "ff73114bf481", "d7581e7523f8",
+        "33d957069be4", "dcef61c53a28", "9890c58c8489", "2dc88187f4b1", "7143394e4bcf",
+        "8777eaabb0a5", "7d49fe557d10", "901dfb78b384", "621913eaab61", "969d6dda8c24",
+        "6f02edb56881", "590e95951c5e", "ae623f23978b", "fda353467e72", "3907fc39453d",
+        "beb1f7fef441", "a8bc8c0198d6", "a59bbbef5e15", "534532315029", "757e7c0abc73",
+        "503eeb86293e", "b4579d292e92", "956a4a1f0c5f", "503397fd7349", "5aaf343fccb8",
+        "757e7c0abc73", "0d4c4ea95c63", "7d431948782f", "757e7c0abc73", "99061e2abf90",
+        "b3c1e80dc976", "f1a79075e14a", "607cd149fdb4", "22d281dbdd4f", "5d95d9475326",
+        "ea094aef0fbd", "07aedac77a37", "c98bac9222d8", "38bc5f23bddc", "67f1328103eb",
+    ),
+    ('grlex', 'GF(32003)'): (
+        "da818b004420", "384a5fdd8261", "33841b50b05e", "572995c30f93", "f30447f6c8df",
+        "ca47bbca9bae", "fd5b49a1862c", "27a399fed306", "ff73114bf481", "9119d8a19469",
+        "d5abcd40b76e", "7f58cdbdefae", "1422e1abf1ef", "1758050cecec", "567329395867",
+        "dd0c3373733e", "8be41659eca8", "bd6a58ee8adb", "656882af5db3", "969d6dda8c24",
+        "61e0ea41a3d5", "766995983c25", "7926dc841ecd", "fda353467e72", "2828a41b6099",
+        "584e7e91a43b", "0886bd2478f4", "f7c3b0524719", "e252c12074ca", "757e7c0abc73",
+        "668fa4b45c4b", "9b73cc37932f", "956a4a1f0c5f", "5d366eb315b3", "0183aa7c1662",
+        "757e7c0abc73", "b0fc533b9c69", "c326cc6165e7", "757e7c0abc73", "1b74296723a5",
+        "7bfa34381f02", "6082942ae8fd", "1d73215bc83c", "22d281dbdd4f", "6b36a05f2135",
+        "5f5f5cba94b7", "78bb2f37f06f", "ce949a75d3e4", "38bc5f23bddc", "51fd57cc1dfc",
+    ),
+    ('grevlex', 'QQ'): (
+        "a96fc9bb4713", "a25b5499dec6", "1ccdc9e3edd7", "c70ea7d248c3", "8d1efa8e925b",
+        "e3567c2591d0", "716294ca0baf", "38bc5f23bddc", "89402c83b3a9", "afc6d6d6a6bf",
+        "61cbf981468d", "de131e8b988d", "f7306b2108c0", "1a3199b55d26", "f0f2e37e60c5",
+        "18c481c3e303", "4bdf09fd2b34", "a7193b4988fa", "8098b25a7cf6", "cf6734e13dc0",
+        "b4a85455a0f0", "81492a194f72", "1c104bbc3501", "31f8f164c52f", "a8ffe2f544eb",
+        "cf08825270e7", "757e7c0abc73", "662697b0de68", "001b9ba60c17", "1e2cace91d96",
+        "fa3438ca9c62", "18ecd40b943b", "a45fcf22d7c7", "1b1d755956b3", "96f488a48b03",
+        "5fd7900a70a8", "67b8472dba51", "1388bd037511", "4a428855bcd2", "378c4ed4fd5e",
+        "198456a2a991", "7741ff44bdff", "1254a208fbb7", "c0de8b156177", "88868de331d2",
+        "e5c8f903729f", "8f6615e50fd7", "e9dcf7e98b48", "ded61b6aa0fe", "fe52c7811b0e",
+    ),
+    ('grevlex', 'GF(32003)'): (
+        "39f3a0e41375", "e6eba54fcdd7", "d0eea3a93871", "9d6ec079b5d3", "c6b9e399281e",
+        "2f68763e2fac", "8f17e7c60d00", "38bc5f23bddc", "fa72fe3a5f3f", "afc6d6d6a6bf",
+        "d8612c70d2a6", "de131e8b988d", "aa67f1323f40", "b8b3bb16889a", "516ab5c02826",
+        "4bb784744ff6", "452768a9fe63", "a7193b4988fa", "8098b25a7cf6", "b51f25f96aa3",
+        "a1b653f428a4", "d6463d850420", "1c104bbc3501", "a7ce2f2d7aa7", "0e6a51cebee9",
+        "18be4e406108", "757e7c0abc73", "4acf0c318c34", "001b9ba60c17", "1e2cace91d96",
+        "fa3438ca9c62", "3b27a03ea605", "0c2de4922f0a", "3b238d6c8435", "fb977119dda5",
+        "7d4de56a6b55", "1b8dda4f3048", "38ce09ee40e8", "5e8d790009a7", "0f957ed42150",
+        "198456a2a991", "7741ff44bdff", "e3c0b5163d78", "4ac7f9691c55", "99003a485851",
+        "4c987de20b44", "650a792756bc", "b9e871ae0f96", "45d0462a2aee", "8562bccaa2da",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+@pytest.mark.parametrize("domain", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_packed_engine_matches_the_tuple_engine(order, domain):
+    lines = _differential_lines(order, domain)
+    frozen = FROZEN[order, domain.name]
+    for i, (line, digest) in enumerate(zip(lines, frozen)):
+        assert _digest(line) == digest, (i, line)
+    assert len(lines) == len(frozen) == 50
