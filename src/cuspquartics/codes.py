@@ -12,9 +12,8 @@ partitions directly and filters them by symmetry invariance, pairwise
 overlap and coplanarity.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from itertools import combinations, product
 
 from . import linalg
@@ -26,7 +25,7 @@ F3 = GF(3)
 
 def f3_word(values):
     """Normalize a word to residues 0, 1, 2 (accepts -1 for 2)."""
-    return tuple(int(v) % 3 for v in values)
+    return tuple(operator.index(v) % 3 for v in values)
 
 
 def signed_word(word):
@@ -133,18 +132,22 @@ def _coords(p):
     return [QQ.convert(c) for c in p]
 
 
-@dataclass(frozen=True)
-class CuspConfiguration:
+class CuspConfiguration(namedtuple("CuspConfiguration", "points symmetries")):
     """Labelled points plus the index permutations of their symmetries."""
 
-    points: tuple
-    symmetries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.points)
-        for perm in self.symmetries:
+    def __new__(cls, points, symmetries):
+        n = len(points)
+        for perm in symmetries:
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
+        return super().__new__(cls, points, symmetries)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: check its records too
+        return cls(*iterable)
 
     def orbits(self):
         """Orbit partition of the indices under the symmetry group (1-based)."""

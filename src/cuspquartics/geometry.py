@@ -10,9 +10,7 @@ their carrier on the twisted cubic (t0^2 t1, t0 t1^2, t0^3, t1^3), the
 rank-one locus of the three quadrics in the coordinates (lp, lpp, fp, fpp).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -20,7 +18,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from . import linalg
-from .polyring import QQ, Polynomial, PolyRing
+from .polyring import QQ, PolyRing
 
 SURFACE_VARS = ("x0", "x1", "x2", "x3")
 PARAM_VARS = ("t0", "t1")
@@ -91,13 +89,10 @@ class ProjectivePoint:
         return f"ProjectivePoint{self.integer_coords()}"
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(namedtuple("Line", "point_a point_b equations")):
     """A projective line given by two spanning points and canonical equations."""
 
-    point_a: ProjectivePoint
-    point_b: ProjectivePoint
-    equations: tuple
+    __slots__ = ()
 
     @staticmethod
     def through(point_a, point_b, ring):
@@ -115,7 +110,8 @@ class Line:
     def parametrize(self, s, t):
         """Points s*A + t*B with exact scalars."""
         a, b = self.point_a.coords, self.point_b.coords
-        return tuple(Fraction(s) * x + Fraction(t) * y for x, y in zip(a, b))
+        s, t = QQ.convert(s), QQ.convert(t)
+        return tuple(s * x + t * y for x, y in zip(a, b))
 
     def restrict(self, f):
         """f along the line: the binary form f(t0*A + t1*B)."""
@@ -134,34 +130,20 @@ class ConfigurationType(Enum):
     CONCURRENT_LINES = "II"   # the four planes meet in one point
 
 
-@dataclass(frozen=True)
-class Configuration:
-    kind: ConfigurationType
-    vertex: ProjectivePoint | None = None
-    lines: tuple | None = None
+Configuration = namedtuple("Configuration", "kind vertex lines",
+                           defaults=(None, None))
 
 
-@dataclass(frozen=True)
-class DivisibleFamily:
+class DivisibleFamily(namedtuple("DivisibleFamily", (
+        "lp lpp fp fpp residual cubic_a cubic_b contact_quadric q12 q21 q22 "
+        "quartic"))):
     """Input forms plus every derived surface of the construction.
 
     lp, lpp are the linear forms whose cubes start the contact cubics,
     fp, fpp the companion linear forms, residual the quadric with
     sextic = quartic * residual.  All derived data is exact and canonical.
+    The record keeps an instance ``__dict__`` for the cached sextic.
     """
-
-    lp: Polynomial
-    lpp: Polynomial
-    fp: Polynomial
-    fpp: Polynomial
-    residual: Polynomial
-    cubic_a: Polynomial
-    cubic_b: Polynomial
-    contact_quadric: Polynomial
-    q12: Polynomial
-    q21: Polynomial
-    q22: Polynomial
-    quartic: Polynomial
 
     @cached_property
     def sextic(self):
@@ -341,13 +323,9 @@ def twisted_cubic_map():
     return (t0 * t0 * t1, t0 * t1 * t1, t0 ** 3, t1 ** 3)
 
 
-@dataclass(frozen=True)
-class CuspSearch:
-    points: tuple
-    unresolved: tuple
-    configuration: Configuration
-    binary_form: Polynomial | None = None
-    lines: tuple | None = None
+CuspSearch = namedtuple(
+    "CuspSearch", "points unresolved configuration binary_form lines",
+    defaults=(None, None))
 
 
 def _verify_on_curve(family, point):
@@ -449,7 +427,7 @@ def _cusps_concurrent_lines(family, config, slice_form):
             _verify_on_curve(family, point)
             points.append(point)
     points = sorted(set(points))
-    config = replace(config, lines=lines)
+    config = config._replace(lines=lines)
     return CuspSearch(tuple(points), tuple(unresolved), config, lines=lines)
 
 
@@ -457,12 +435,10 @@ def _cusps_concurrent_lines(family, config, slice_form):
 # parameter change of the carrier curve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberChange:
-    forms: tuple          # (lpp_a, lp_a, fpp_a, fp_a), the induced components
-    quadric: Polynomial   # the transformed contact quadric Q(a)
-    verified: bool
-    induced: tuple        # the four linear components of the coordinate map
+# forms: (lpp_a, lp_a, fpp_a, fp_a), the induced components; quadric: the
+# transformed contact quadric Q(a); induced: the four linear components of
+# the coordinate map
+FiberChange = namedtuple("FiberChange", "forms quadric verified induced")
 
 
 def fiber_change(family, a):
@@ -477,7 +453,7 @@ def fiber_change(family, a):
     if family.forms() != gens:
         raise GeometryError("fiber_change needs the curve-adapted family "
                             "(forms equal to the coordinates)")
-    (a00, a01), (a10, a11) = [[Fraction(x) for x in row] for row in a]
+    (a00, a01), (a10, a11) = [[QQ.convert(x) for x in row] for row in a]
     det = a00 * a11 - a01 * a10
     if det == 0:
         raise GeometryError("parameter change matrix is singular")
@@ -521,7 +497,7 @@ def fiber_change(family, a):
 
 def eight_cusp_quartic(k):
     """The classical one-parameter quartic with eight singular points."""
-    k = Fraction(k)
+    k = QQ.convert(k)
     if k == 0:
         raise ValueError("the family needs k != 0")
     x0, x1, x2, x3 = surface_ring().gens()

@@ -105,9 +105,9 @@ class GroebnerBasis:
         engine = _Engine(self.ring)
         divisors = engine.divisors(self.polys)
         lms = [engine.unpack(d[0]) for d in divisors]
-        pairs = set()
+        pairs = {}
         for t in range(len(lms)):
-            pairs = _update_pairs(lms, pairs, t)
+            pairs = _update_pairs(lms, pairs, t, self.ring.key)
         return all(not engine.reduce(engine.spair(divisors[i], divisors[j]),
                                      divisors)[0]
                    for i, j in sorted(pairs))
@@ -336,20 +336,22 @@ def normal_form(g, basis):
 # Buchberger's algorithm
 # ---------------------------------------------------------------------------
 
-def _update_pairs(lms, pairs, t):
+def _update_pairs(lms, pairs, t, key):
     """Gebauer-Moeller pair update after appending element t.
 
     Implements Buchberger's product and chain criteria; ``lms`` holds the
-    leading monomials including the new element at index t.
+    leading monomials including the new element at index t.  ``pairs``
+    maps (i, j) to (deg L, key(L), L) for the lcm L of its leads, the
+    selection key computed once when the pair is created.
     """
     lmf = lms[t]
-    kept = set()
-    for i, j in pairs:
-        lij = monomial_lcm(lms[i], lms[j])
+    kept = {}
+    for (i, j), entry in pairs.items():
+        lij = entry[2]
         if (monomial_div(lij, lmf) is None
                 or lij == monomial_lcm(lms[i], lmf)
                 or lij == monomial_lcm(lms[j], lmf)):
-            kept.add((i, j))
+            kept[i, j] = entry
     by_lcm = {}
     for i in range(t):
         by_lcm.setdefault(monomial_lcm(lms[i], lmf), []).append(i)
@@ -360,10 +362,9 @@ def _update_pairs(lms, pairs, t):
     for L in minimal:
         group = by_lcm[L]
         # product criterion: drop the class if some member is coprime to lmf
-        if any(monomial_lcm(lms[i], lmf) == monomial_mul(lms[i], lmf)
-               for i in group):
+        if any(L == monomial_mul(lms[i], lmf) for i in group):
             continue
-        kept.add((min(group), t))
+        kept[min(group), t] = (sum(L), key(L), L)
     return kept
 
 
@@ -380,24 +381,22 @@ def buchberger(ideal, order=None):
     if not gens:
         return GroebnerBasis(ring, ())
     engine = _Engine(ring)
-    key = ring.key
     G = []
     lms = []
-    pairs = set()
+    pairs = {}
 
     def append(p):
         nonlocal pairs
         G.append(engine.divisor(p))
         lms.append(engine.unpack(G[-1][0]))
-        pairs = _update_pairs(lms, pairs, len(G) - 1)
+        pairs = _update_pairs(lms, pairs, len(G) - 1, ring.key)
 
     for g in gens:
         append(engine.coefficients(g)[0])
     while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                                          key(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                                          ij))
-        pairs.discard((i, j))
+        # normal strategy: least lcm degree, then term order, then (i, j)
+        i, j = min(pairs, key=lambda ij: (pairs[ij][:2], ij))
+        del pairs[i, j]
         s = engine.spair(G[i], G[j])
         if not s:
             continue

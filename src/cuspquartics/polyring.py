@@ -323,11 +323,6 @@ class Polynomial:
                 return c
         return self.ring.domain.zero
 
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.domain.invert(self.terms[0][1]))
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring

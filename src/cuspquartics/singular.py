@@ -10,12 +10,11 @@ the evidence (Groebner bases, power exponents, tangent factorizations) so
 each claim can be re-checked from the stored data alone.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import prod
 
 from . import linalg
@@ -42,21 +41,11 @@ class SingularityKind(Enum):
     CORANK_GE2 = "corank>=2"
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
-    point: object
-    kind: SingularityKind
-    chart: int | None
-    quad_rank: int | None
-    kernel_direction: tuple | None
-    cubic_on_kernel: Fraction | None
+SingularityVerdict = namedtuple(
+    "SingularityVerdict",
+    "point kind chart quad_rank kernel_direction cubic_on_kernel")
 
-
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    data: dict
-    verified: bool
+Certificate = namedtuple("Certificate", "claim data verified")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +81,8 @@ def local_expansion(f, point, chart=None):
     chart = _chart(f, point, chart)
     if chart is None:
         aff = f.ring
-        images = [aff.gen(i) + aff.constant(Fraction(c)) for i, c in enumerate(point)]
+        images = [aff.gen(i) + aff.constant(QQ.convert(c))
+                  for i, c in enumerate(point)]
     else:
         coords = point.coords
         aff = affine_chart_ring(f.ring.nvars - 1)
@@ -156,7 +146,7 @@ class LocalData:
         self.point, self.ring, self.chart = point, f.ring, _chart(f, point, chart)
         self.free = [i for i in range(f.ring.nvars) if i != self.chart]
         if self.chart is None:
-            self.x, self.lam, self.degree = tuple(Fraction(c) for c in point), 1, 0
+            self.x, self.lam, self.degree = tuple(map(QQ.convert, point)), 1, 0
         else:
             self.x = point.integer_coords()
             self.lam, self.degree = self.x[self.chart], f.degree()
@@ -430,32 +420,22 @@ class Analysis:
 # linear systems of forms through points
 # ---------------------------------------------------------------------------
 
-def _monomials_of_degree(ring, d):
-    """All degree-d exponent tuples, descending in the ring order."""
-    n = ring.nvars
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    return sorted(rec((), d, n), key=ring.key, reverse=True)
-
-
 def forms_through_points(points, degree):
     """Basis of the degree-d forms vanishing at all points (exact null space)."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     ring = surface_ring()
-    mons = _monomials_of_degree(ring, degree)
+    n = ring.nvars
+    # every degree-d exponent tuple, descending in the ring order
+    mons = sorted((tuple(c.count(i) for i in range(n)) for c in
+                   combinations_with_replacement(range(n), degree)),
+                  key=ring.key, reverse=True)
     if not points:
         return [ring.monomial(m) for m in mons]
     rows = []
     for p in points:
-        coords = p.coords if isinstance(p, ProjectivePoint) else tuple(map(Fraction, p))
-        rows.append([_eval_monomial(coords, m) for m in mons])
+        coords = p.coords if isinstance(p, ProjectivePoint) else tuple(map(QQ.convert, p))
+        rows.append([prod(c ** e for c, e in zip(coords, m)) for m in mons])
     kernel = linalg.nullspace(rows)
     if not kernel:
         return []
@@ -465,10 +445,3 @@ def forms_through_points(points, degree):
         ints = linalg.primitive_integer_vector(row)
         basis.append(ring.from_dict({m: c for m, c in zip(mons, ints) if c}))
     return basis
-
-
-def _eval_monomial(coords, m):
-    v = Fraction(1)
-    for c, e in zip(coords, m):
-        v *= c ** e
-    return v

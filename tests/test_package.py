@@ -50,6 +50,7 @@ PUBLIC = {
 # script runs the command given in its arguments.
 LAYER_STATES = """
 import contextlib, io, json, sys, types
+before = set(sys.modules)
 import cuspquartics.cli
 
 LAYERS = %r
@@ -61,12 +62,14 @@ after_import = executed()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cuspquartics.cli.main(sys.argv[1:])
 after_run = executed()
+imported = sorted(set(sys.modules) - before)
 found = {n: sorted(k for k in vars(sys.modules["cuspquartics." + n])
                    if not k.startswith("_"))
          for n in LAYERS}
 print(json.dumps({"registered": registered, "code": code,
                   "after_import": after_import, "after_run": after_run,
-                  "after_vars": executed(), "found": found}))
+                  "after_vars": executed(), "found": found,
+                  "imported": imported}))
 """ % (LAYERS,)
 
 
@@ -109,3 +112,57 @@ def test_public_names_are_still_served():
     assert set(LAYERS) <= set(listed)
     with pytest.raises(ImportError):
         exec("from cuspquartics import no_such_name", {})
+
+
+def test_no_command_imports_dataclasses_or_inspect():
+    # verify-example barth executes every layer; the records are named
+    # tuples, so nothing pulls in dataclasses and the modules it imports
+    state = layer_states("verify-example", "barth")
+    assert state["code"] == 0
+    assert state["after_run"] == list(LAYERS)
+    assert not {"dataclasses", "inspect", "ast", "dis",
+                "tokenize"} & set(state["imported"])
+
+
+# the eight records: field names in order, and the defaults
+RECORDS = {
+    ("geometry", "Line"): ("point_a point_b equations", {}),
+    ("geometry", "Configuration"): (
+        "kind vertex lines", {"vertex": None, "lines": None}),
+    ("geometry", "DivisibleFamily"): (
+        "lp lpp fp fpp residual cubic_a cubic_b contact_quadric q12 q21 q22 "
+        "quartic", {}),
+    ("geometry", "CuspSearch"): (
+        "points unresolved configuration binary_form lines",
+        {"binary_form": None, "lines": None}),
+    ("geometry", "FiberChange"): ("forms quadric verified induced", {}),
+    ("singular", "SingularityVerdict"): (
+        "point kind chart quad_rank kernel_direction cubic_on_kernel", {}),
+    ("singular", "Certificate"): ("claim data verified", {}),
+    ("codes", "CuspConfiguration"): ("points symmetries", {}),
+}
+
+
+@pytest.mark.parametrize("layer, name", RECORDS, ids=[n for _, n in RECORDS])
+def test_records_are_immutable_named_tuples(layer, name):
+    cls = getattr(import_module(f"cuspquartics.{layer}"), name)
+    fields, defaults = RECORDS[layer, name]
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+    if name == "CuspConfiguration":
+        record = cls(("a", "b"), ((1, 0),))
+        changed = {"symmetries": ((0, 1), (1, 0))}
+        with pytest.raises(ValueError, match="not a permutation"):
+            cls(("a", "b"), ((0, 0),))
+        with pytest.raises(ValueError, match="not a permutation"):
+            record._replace(symmetries=((1, 1),))
+    else:
+        record = cls(*range(len(cls._fields)))
+        changed = {cls._fields[-1]: "new"}
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], "other")
+    replaced = record._replace(**changed)
+    assert type(replaced) is cls
+    assert replaced == record[:-1] + tuple(changed.values())
+    assert getattr(record, cls._fields[-1]) == record[-1]
+

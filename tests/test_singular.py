@@ -5,11 +5,16 @@ from itertools import product
 import pytest
 
 from cuspquartics import linalg
+from cuspquartics.codes import TernaryCode, f3_word
 from cuspquartics.geometry import (
+    Line,
     ProjectivePoint,
     build_family,
     cusp_candidates,
+    eight_cusp_quartic,
+    fiber_change,
     surface_ring,
+    twisted_cubic_example,
 )
 from cuspquartics.groebner import buchberger, ideal_membership
 from cuspquartics.polyring import PolyRing, QQ
@@ -393,3 +398,48 @@ def test_divisibility_records_match_expansion(ex61_family, ex62_family, make_rng
             assert (record["chart"], record["tangent_a"], record["tangent_b"],
                     record["tangent_scalar"]) == (chart, t_a, t_b, scalar)
             assert (t_a * t_b).scale(scalar) == q2
+
+
+def _affine_cusp():
+    y0, y1, y2 = PolyRing(("y0", "y1", "y2"), QQ).gens()
+    return y0 * y0 - y1 ** 3 + y2 * y2 * y1
+
+
+def _x_axis():
+    return Line.through(ProjectivePoint((1, 0, 0, 0)),
+                        ProjectivePoint((0, 1, 0, 0)), surface_ring())
+
+
+# each call takes one number; a rational enters as an int, a Fraction or a
+# decimal string, and a float is refused with TypeError, never read as its
+# binary fraction
+RATIONAL_CALLS = {
+    "forms_through_points": lambda x: forms_through_points([(x, 1, 0, 0)], 1),
+    "LocalData": lambda x: LocalData(_affine_cusp(), (x, 1, 0)).gradient,
+    "local_expansion": lambda x: local_expansion(_affine_cusp(), (x, 1, 0)),
+    "Line.parametrize": lambda x: _x_axis().parametrize(x, 1),
+    "fiber_change": lambda x: fiber_change(twisted_cubic_example(),
+                                           ((x, 1), (0, 1))).quadric,
+    "eight_cusp_quartic": eight_cusp_quartic,
+}
+# a word entry must be an integer: int() would truncate 1.5 to 1
+WORD_CALLS = {
+    "f3_word": lambda x: f3_word((x, -1, 2)),
+    "TernaryCode": lambda x: TernaryCode(2, [(x, 1)]).generators,
+}
+
+
+@pytest.mark.parametrize("name", [*RATIONAL_CALLS, *WORD_CALLS])
+def test_floats_are_refused_where_exact_numbers_are_read(name):
+    if name in RATIONAL_CALLS:
+        call = RATIONAL_CALLS[name]
+        groups = [(3, Fraction(3), "3"), (Fraction(1, 10), "0.1", "1/10")]
+        floats = (3.0, 0.1)
+    else:
+        call, groups, floats = WORD_CALLS[name], [(2, -1)], (2.0, 1.5)
+    for group in groups:
+        results = [call(x) for x in group]
+        assert all(r == results[0] for r in results), name
+    for x in floats:
+        with pytest.raises(TypeError):
+            call(x)
