@@ -2,9 +2,10 @@
 
 The engine always returns the reduced Groebner basis (monic, inter-reduced,
 sorted), so bases are unique per ideal and term order and every downstream
-certificate is reproducible.  Pair selection follows the normal strategy;
-useless pairs are discarded with Buchberger's product and chain criteria in
-the Gebauer-Moeller formulation.
+certificate is reproducible.  Pair selection follows the normal strategy,
+the pair whose lcm is least in the term order (not by degree first, which
+runs away under lex); useless pairs are discarded with Buchberger's product
+and chain criteria in the Gebauer-Moeller formulation.
 
 One Buchberger loop and one reducer serve every caller and both coefficient
 domains.  They work on coefficient dicts keyed by packed monomials: inside
@@ -18,6 +19,16 @@ exponents, the S-pair audit) read that primitive remainder directly;
 ``normal_form`` divides it by the unit the reducer tracked, so remainders
 exposed to callers are exact.  The audit checks the pairs that the criteria
 keep when they are replayed over the basis.
+
+Over QQ the loop runs as a Groebner trace (Traverso 1988) when the caller
+pays for the audit anyway (``buchberger(..., audit=True)``, the verdict in
+``GroebnerBasis.audit``) or a generator has a coefficient of _TRACE_MIN_BITS
+bits or more: a run over GF(_TRACE_PRIME) learns which pairs reduce to zero,
+and the QQ run skips them.  Its basis B lies in the ideal; it is kept only
+if (a) it passes the audit, so B is a Groebner basis of ideal(B), and (b)
+every generator reduces to zero modulo B, so B is the reduced basis of the
+ideal whatever the prime did.  Otherwise, or when the QQ run departs from
+the trace, the plain run is repeated.
 """
 
 from __future__ import annotations
@@ -28,8 +39,10 @@ from math import gcd, lcm
 
 from .polyring import (
     EXPONENT_CAP,
+    GF,
     QQ,
     ExponentOverflowError,
+    PolyRing,
     RingMismatchError,
     monomial_div,
     monomial_lcm,
@@ -39,6 +52,10 @@ from .polyring import (
 # bits per exponent field: twice EXPONENT_CAP and a guard bit
 _W = (2 * EXPONENT_CAP).bit_length() + 1
 _FIELD = (1 << _W) - 1
+
+# the trace's prime, and the coefficient size from which it runs unaudited
+_TRACE_PRIME = 32003
+_TRACE_MIN_BITS = 45
 
 
 class Ideal:
@@ -78,13 +95,18 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements, sorted by leading monomial."""
+    """A reduced Groebner basis: monic elements, sorted by leading monomial.
 
-    __slots__ = ("ring", "polys")
+    ``audit`` is the verdict of ``verify_buchberger_criterion`` when
+    ``buchberger`` ran it on this basis, else None.
+    """
 
-    def __init__(self, ring, polys):
+    __slots__ = ("ring", "polys", "audit")
+
+    def __init__(self, ring, polys, audit=None):
         self.ring = ring
         self.polys = tuple(polys)
+        self.audit = audit
 
     def __len__(self):
         return len(self.polys)
@@ -341,13 +363,13 @@ def _update_pairs(lms, pairs, t, key):
 
     Implements Buchberger's product and chain criteria; ``lms`` holds the
     leading monomials including the new element at index t.  ``pairs``
-    maps (i, j) to (deg L, key(L), L) for the lcm L of its leads, the
-    selection key computed once when the pair is created.
+    maps (i, j) to (key(L), L) for the lcm L of its leads, the selection
+    key computed once when the pair is created.
     """
     lmf = lms[t]
     kept = {}
     for (i, j), entry in pairs.items():
-        lij = entry[2]
+        lij = entry[1]
         if (monomial_div(lij, lmf) is None
                 or lij == monomial_lcm(lms[i], lmf)
                 or lij == monomial_lcm(lms[j], lmf)):
@@ -364,12 +386,56 @@ def _update_pairs(lms, pairs, t, key):
         # product criterion: drop the class if some member is coprime to lmf
         if any(L == monomial_mul(lms[i], lmf) for i in group):
             continue
-        kept[min(group), t] = (sum(L), key(L), L)
+        kept[min(group), t] = (key(L), L)
     return kept
 
 
-def buchberger(ideal, order=None):
-    """Reduced Groebner basis of an ideal (or a plain list of polynomials)."""
+def _loop(engine, gens, trace=None):
+    """Buchberger's loop on the generators' coefficient dicts.
+
+    Returns (G, outcomes): the divisors appended, generators first, and for
+    every pair taken, in order, the lead its remainder appended or None if
+    it reduced to zero.  Given the outcomes of a run over another domain as
+    ``trace``, the pairs that went to zero there are skipped, and None is
+    returned as soon as a pair kept gives another lead or reduces to zero.
+    While the leads agree, both runs hold the same pairs.
+    """
+    G = []
+    lms = []
+    pairs = {}
+    outcomes = {}
+
+    def append(p):
+        nonlocal pairs
+        G.append(engine.divisor(p))
+        lms.append(engine.unpack(G[-1][0]))
+        pairs = _update_pairs(lms, pairs, len(G) - 1, engine.ring.key)
+
+    for g in gens:
+        append(g)
+    while pairs:
+        # normal strategy: least lcm in the term order, then (i, j)
+        i, j = min(pairs, key=lambda ij: (pairs[ij][0], ij))
+        del pairs[i, j]
+        if trace is not None and trace.get((i, j)) is None:
+            continue
+        s = engine.spair(G[i], G[j])
+        r = engine.reduce(s, G)[0] if s else s
+        lead = max(r) if r else None
+        if trace is not None and lead != trace[i, j]:
+            return None
+        outcomes[i, j] = lead
+        if r:
+            append(r)
+    return G, outcomes
+
+
+def buchberger(ideal, order=None, audit=False):
+    """Reduced Groebner basis of an ideal (or a plain list of polynomials).
+
+    With ``audit`` the basis returned is checked by
+    ``verify_buchberger_criterion`` and the verdict kept in ``basis.audit``.
+    """
     if not isinstance(ideal, Ideal):
         ideal = Ideal.spanned_by(list(ideal))
     ring = ideal.ring
@@ -378,32 +444,38 @@ def buchberger(ideal, order=None):
         gens = [ring.convert(g) for g in ideal.generators]
     else:
         gens = list(ideal.generators)
-    if not gens:
-        return GroebnerBasis(ring, ())
     engine = _Engine(ring)
-    G = []
-    lms = []
-    pairs = {}
+    gens = [engine.coefficients(g)[0] for g in gens]
+    top = max((abs(c) for g in gens for c in g.values()), default=0)
+    if not engine.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS):
+        basis = _traced(engine, gens)
+        if basis is not None:
+            return basis
+    G, _ = _loop(engine, gens)
+    basis = GroebnerBasis(ring, _interreduce(engine, G))
+    if audit:
+        basis.audit = basis.verify_buchberger_criterion()
+    return basis
 
-    def append(p):
-        nonlocal pairs
-        G.append(engine.divisor(p))
-        lms.append(engine.unpack(G[-1][0]))
-        pairs = _update_pairs(lms, pairs, len(G) - 1, ring.key)
 
-    for g in gens:
-        append(engine.coefficients(g)[0])
-    while pairs:
-        # normal strategy: least lcm degree, then term order, then (i, j)
-        i, j = min(pairs, key=lambda ij: (pairs[ij][:2], ij))
-        del pairs[i, j]
-        s = engine.spair(G[i], G[j])
-        if not s:
-            continue
-        r, _ = engine.reduce(s, G)
-        if r:
-            append(r)
-    return GroebnerBasis(ring, _interreduce(engine, G))
+def _traced(engine, gens):
+    """The traced basis over QQ, or None if the trace cannot be used or its
+    basis fails either check (module docstring)."""
+    ring, p = engine.ring, _TRACE_PRIME
+    if any(g[max(g)] % p == 0 for g in gens):
+        return None
+    modular = _Engine(PolyRing(ring.variables, GF(p), ring.order))
+    _, trace = _loop(modular, [{m: c % p for m, c in g.items() if c % p}
+                               for g in gens])
+    run = _loop(engine, gens, trace)
+    if run is None:
+        return None
+    basis = GroebnerBasis(ring, _interreduce(engine, run[0]), True)
+    divisors = engine.divisors(basis.polys)
+    if (basis.verify_buchberger_criterion()
+            and not any(engine.reduce(g, divisors)[0] for g in gens)):
+        return basis
+    return None
 
 
 def _interreduce(engine, divisors):

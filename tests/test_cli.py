@@ -70,6 +70,45 @@ def test_gb_from_file_with_order(capsys, tmp_path):
     assert basis["elements"] == ["x1 - 1", "x0 - 1"]
 
 
+def test_gb_lex_selects_pairs_by_the_term_order(capsys):
+    # picking the least lcm degree first, this ideal ran for minutes with
+    # coefficients of 95,000 bits; picking by the lex order it is quick
+    from cuspquartics.groebner import normal_form
+    from cuspquartics.polyring import PolyRing
+
+    gens = ["-5*x0^2*x1^2*x2 - 2*x0*x2 - 3*x2",
+            "4*x0^2 - 2*x1^2*x2 - 4*x2^2",
+            "-2*x0*x1^2*x2^2 - 5*x0*x1*x2^2 - 4*x0*x2"]
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, "--json", "gb", "--order", "lex",
+                               "--vars", "x0,x1,x2", ", ".join(gens))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    audit = next(r for r in report["results"] if r["name"] == "s-polynomial audit")
+    assert audit["status"] == "pass"
+    ring = PolyRing(("x0", "x1", "x2"), order="lex")
+    basis = next(r for r in report["results"] if r["name"] == "reduced basis")
+    elements = [ring.parse(g) for g in basis["elements"]]
+    assert len(elements) == 4
+    assert all(normal_form(ring.parse(g), elements).is_zero() for g in gens)
+
+
+def test_gb_audits_the_basis_once(capsys, monkeypatch):
+    from cuspquartics.groebner import GroebnerBasis
+
+    audits = []
+    verify = GroebnerBasis.verify_buchberger_criterion
+
+    def counting(self):
+        audits.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(GroebnerBasis, "verify_buchberger_criterion", counting)
+    code, report, _ = run_json(capsys, "--json", "gb", "x0^2 - x1, x0*x1 - 1")
+    assert code == 0 and report["verified"]
+    assert len(audits) == 1
+
+
 def test_gb_unreadable_file_exit2(capsys, tmp_path):
     undecodable = tmp_path / "latin1.txt"
     undecodable.write_bytes(b"x0 - \xff\n")

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from cuspquartics import geometry, groebner, singular
 from cuspquartics.groebner import (
     GroebnerBasis,
     Ideal,
@@ -467,3 +468,147 @@ def test_packed_engine_matches_the_tuple_engine(order, domain):
     for i, (line, digest) in enumerate(zip(lines, frozen)):
         assert _digest(line) == digest, (i, line)
     assert len(lines) == len(frozen) == 50
+
+
+# ---------------------------------------------------------------------------
+# the trace: zero pairs learned mod p, certified over QQ
+# ---------------------------------------------------------------------------
+
+# a planted type-I family at coefficient bound 3000; its jacobian's
+# generators have 74-bit coefficients
+BOUND_3000_MANIFEST = """\
+Lp = -2882*x0 - 2274*x1 - 1723*x2 - 2841*x3
+Lpp = 226*x0 - 213*x1 - 2661*x2 + 2933*x3
+Fp = -2190*x0 - 2990*x1 - 1988*x2 - 2412*x3
+Fpp = -377*x0 + 361*x1 - 2581*x2 + 709*x3
+R = -8853756670*x0^2 - 13635110935*x0*x1 - 34196700086*x0*x2 \
++ 1897118730*x0*x3 - 6109759865*x1^2 - 10044686107*x1*x2 - 11769453665*x1*x3 \
++ 11494398747*x2^2 - 67894808594*x2*x3 + 30282056103*x3^2
+"""
+
+
+def _coefficient_bits(ideal):
+    return max(abs(c.numerator).bit_length() for g in ideal.generators
+               for _, c in g.terms)
+
+
+def _plain_basis(ideal, monkeypatch):
+    """The basis from the loop that skips no pair."""
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_TRACE_MIN_BITS", float("inf"))
+        return buchberger(ideal)
+
+
+def _count_loops(monkeypatch):
+    """Patch the Buchberger loop to record (modular, returned run) per call."""
+    calls = []
+    loop = groebner._loop
+
+    def counting(engine, gens, trace=None):
+        run = loop(engine, gens, trace)
+        calls.append((bool(engine.modulus), run))
+        return run
+
+    monkeypatch.setattr(groebner, "_loop", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def bound_3000_jacobian():
+    family = geometry.family_from_manifest(BOUND_3000_MANIFEST)
+    return singular.jacobian_ideal(family.quartic)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unlucky_primes_fall_back_to_the_same_basis(
+        monkeypatch, ring2, ex61_family, ex61_basis, bound_3000_jacobian, p):
+    ex61 = singular.jacobian_ideal(ex61_family.quartic)
+    assert _coefficient_bits(bound_3000_jacobian) >= 70
+    x0, x1 = ring2.gens()
+    # a generator that vanishes mod p
+    vanishing = Ideal([p * x0 + 2 * p, x1 ** 2 - x0])
+    expected = {ex61: ex61_basis.polys,
+                bound_3000_jacobian: _plain_basis(bound_3000_jacobian,
+                                                  monkeypatch).polys,
+                vanishing: _plain_basis(vanishing, monkeypatch).polys}
+    monkeypatch.setattr(groebner, "_TRACE_PRIME", p)
+    for ideal, polys in expected.items():
+        basis = buchberger(ideal, audit=True)
+        assert basis.polys == polys
+        assert basis.audit is True
+
+
+def test_generators_outside_the_traced_basis_fall_back(monkeypatch, ring2):
+    # mod 5 the constant term vanishes, so the trace learns that the one
+    # pair reduces to zero; the QQ run keeps x0 and x0*x1 + 5/4, and
+    # minimalisation leaves {x0}, which passes the audit but does not
+    # generate the ideal; only the membership check catches it
+    x0, x1 = ring2.gens()
+    monkeypatch.setattr(groebner, "_TRACE_PRIME", 5)
+    calls = _count_loops(monkeypatch)
+    basis = buchberger(Ideal([-8 * x0, -4 * x0 * x1 - 5]), audit=True)
+    assert basis.polys == (ring2.one(),)
+    assert basis.audit is True
+    assert [(modular, run is None) for modular, run in calls] == [
+        (True, False), (False, False), (False, False)]
+
+
+def test_a_corrupt_trace_falls_back_to_the_same_basis(monkeypatch,
+                                                       bound_3000_jacobian):
+    expected = _plain_basis(bound_3000_jacobian, monkeypatch).polys
+    calls = _count_loops(monkeypatch)
+    loop = groebner._loop
+
+    def corrupting(engine, gens, trace=None):
+        run = loop(engine, gens, trace)
+        if engine.modulus:
+            # one pair that appended an element is marked as a zero pair
+            outcomes = run[1]
+            outcomes[next(ij for ij, lead in outcomes.items()
+                          if lead is not None)] = None
+        return run
+
+    monkeypatch.setattr(groebner, "_loop", corrupting)
+    basis = buchberger(bound_3000_jacobian, audit=True)
+    assert basis.polys == expected
+    assert basis.audit is True
+    # the traced QQ run departs from the trace, then the plain run
+    assert [(modular, run is None) for modular, run in calls] == [
+        (True, False), (False, True), (False, False)]
+
+
+def test_traced_basis_matches_the_plain_basis(make_rng):
+    # audit=True always traces; these small coefficients stay below the
+    # gate, so the plain call runs the loop once with no pair skipped
+    rng = make_rng(91)
+    cases = 0
+    for order in ("grevlex", "grlex", "lex"):
+        ring = PolyRing(("x0", "x1", "x2"), QQ, order)
+        for _ in range(15):
+            gens = [support.random_nonzero(rng, ring, max_degree=2,
+                                           max_terms=3, coeff_bound=9)
+                    for _ in range(rng.choice((2, 3)))]
+            traced = buchberger(Ideal(gens), audit=True)
+            plain = buchberger(Ideal(gens))
+            assert traced.polys == plain.polys, (order, gens)
+            assert traced.audit is True
+            assert plain.audit is None
+            cases += 1
+    assert cases >= 40
+
+
+@pytest.mark.parametrize("bits", [groebner._TRACE_MIN_BITS - 1,
+                                  groebner._TRACE_MIN_BITS])
+def test_trace_gate_on_coefficient_bits(monkeypatch, ring2, bits):
+    x0, x1 = ring2.gens()
+    c = 2 ** (bits - 1)
+    ideal = Ideal([x0 ** 2 - c * x1, x0 * x1 - 3 * x1 ** 2 + 1])
+    assert _coefficient_bits(ideal) == bits
+    calls = _count_loops(monkeypatch)
+    basis = buchberger(ideal)
+    traced = bits >= groebner._TRACE_MIN_BITS
+    assert [modular for modular, _ in calls] == ([True, False] if traced
+                                                 else [False])
+    assert basis.audit is (True if traced else None)
+    assert basis.polys == _plain_basis(ideal, monkeypatch).polys
+
