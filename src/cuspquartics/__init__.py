@@ -12,9 +12,10 @@ as an attribute of the package, but executes none of them: each is a
 attribute access (``vars()`` included).  A process therefore runs only the
 layers it touches.  ``import cuspquartics.cli`` executes ``polyring`` and
 ``cli``; ``gb`` and ``nf`` add ``groebner``, ``code`` and ``enumerate-sets``
-add ``linalg``, ``geometry`` and ``codes``, ``construct``,
-``cusps`` and ``verify-example ex61|ex62`` execute every layer but
-``codes``, and ``verify-example barth`` executes all of them.  The public
+add ``linalg`` and ``codes``; ``cusps`` and ``construct`` execute every
+layer but ``groebner`` and ``codes``, ``construct --certify`` and
+``verify-example ex61|ex62`` every layer but ``codes``, and
+``verify-example barth`` every layer but ``groebner``.  The public
 names below are served from their layers on first use, so ``from
 cuspquartics import buchberger`` executes only ``groebner`` and
 ``polyring``.

@@ -9,7 +9,8 @@ whose nonzero words all have weight 3m is a replicated [4, 2, {3}] simplex
 code: its support is split into four blocks of size m, one per point of
 PG(1, 3).  The enumeration builds the support families from these set
 partitions directly and filters them by symmetry invariance, pairwise
-overlap and coplanarity.
+overlap and coplanarity, read from integer 4x4 determinants; points are
+keyed by primitive integer vectors, so the layer needs no ``geometry``.
 """
 
 import operator
@@ -17,7 +18,6 @@ from collections import namedtuple
 from itertools import combinations, product
 
 from . import linalg
-from .geometry import ProjectivePoint
 from .polyring import GF, QQ
 
 F3 = GF(3)
@@ -114,22 +114,43 @@ def is_constant_weight(code, r):
 # configurations and coplanarity
 # ---------------------------------------------------------------------------
 
+# P1..P8 of the eight-cusp quartic; ``geometry.eight_cusp_points`` reads them
+EIGHT_CUSP_POINTS = ((1, 0, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0),
+                     (0, 1, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0),
+                     (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def projective_key(point):
+    """The primitive integer vector of a point given by rational coordinates
+    or as a ``ProjectivePoint``: proportional points get equal keys."""
+    key = linalg.primitive_integer_vector(
+        [QQ.convert(c) for c in getattr(point, "coords", point)])
+    if not any(key):
+        raise ValueError("projective point needs a nonzero coordinate")
+    return key
+
+
+def _det4(a, b, c, d):
+    """4x4 determinant: 2x2 minors of a, b times complementary ones of c, d."""
+    pairs = list(combinations(range(4), 2))
+    return sum((-1) ** (i + j + 1) * (a[i] * b[j] - a[j] * b[i])
+               * (c[k] * d[l] - c[l] * d[k])
+               for (i, j), (k, l) in zip(pairs, reversed(pairs)))
+
+
 def coplanar_subsets(points, k):
-    """All k-subsets of the points whose coordinate matrix has rank <= 3."""
+    """All k-subsets of the points of P^3 whose coordinate matrix has rank
+    <= 3, that is, all of whose 4-subsets have determinant 0."""
     if k < 4:
         raise ValueError("coplanarity only constrains k >= 4 points")
-    coords = [_coords(p) for p in points]
-    out = []
-    for sub in combinations(range(len(points)), k):
-        if linalg.rank([coords[i] for i in sub]) <= 3:
-            out.append(tuple(i + 1 for i in sub))
-    return out
-
-
-def _coords(p):
-    if isinstance(p, ProjectivePoint):
-        return list(p.coords)
-    return [QQ.convert(c) for c in p]
+    keys = [projective_key(p) for p in points]
+    if any(len(v) != 4 for v in keys):
+        raise ValueError("coplanarity needs points of P^3")
+    flat = {q: not _det4(*(keys[i] for i in q))
+            for q in combinations(range(len(keys)), 4)}
+    return [tuple(i + 1 for i in sub)
+            for sub in combinations(range(len(keys)), k)
+            if all(flat[q] for q in combinations(sub, 4))]
 
 
 class CuspConfiguration(namedtuple("CuspConfiguration", "points symmetries")):
@@ -171,16 +192,16 @@ class CuspConfiguration(namedtuple("CuspConfiguration", "points symmetries")):
 
 def configuration_from_coordinate_swaps(points, swaps=((0, 1), (2, 3))):
     """Build a configuration whose symmetries swap coordinate pairs."""
-    points = tuple(p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
-                   for p in points)
-    index = {p: i for i, p in enumerate(points)}
+    points = tuple(points)
+    keys = [projective_key(p) for p in points]
+    index = {key: i for i, key in enumerate(keys)}
     perms = []
     for i, j in swaps:
         perm = []
-        for p in points:
-            c = list(p.coords)
+        for key in keys:
+            c = list(key)
             c[i], c[j] = c[j], c[i]
-            image = ProjectivePoint(c)
+            image = linalg.primitive_integer_vector(c)
             if image not in index:
                 raise ValueError(f"swap x{i}<->x{j} does not preserve the points")
             perm.append(index[image])

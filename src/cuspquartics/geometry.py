@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
 
-from . import linalg
+from . import codes, linalg
 from .polyring import QQ, PolyRing
 
 SURFACE_VARS = ("x0", "x1", "x2", "x3")
@@ -498,8 +498,9 @@ def fiber_change(family, a):
 def eight_cusp_quartic(k):
     """The classical one-parameter quartic with eight singular points."""
     k = QQ.convert(k)
-    if k == 0:
-        raise ValueError("the family needs k != 0")
+    if k in (0, 1, -1):
+        # k = 1 and k = -1 give surfaces singular along curves
+        raise ValueError("the family needs k != 0, 1, -1")
     x0, x1, x2, x3 = surface_ring().gens()
     lead = (x0 * x0 * x1 * x1) * (1 + k) ** 3 \
         + (x0 * x1 * x2 * x3) * (2 * k * (1 - k * k)) \
@@ -512,9 +513,7 @@ def eight_cusp_quartic(k):
 
 def eight_cusp_points():
     """The eight singular points, in their customary labelling P1..P8."""
-    data = [(1, 0, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 1, 0, -1),
-            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    return tuple(ProjectivePoint(p) for p in data)
+    return tuple(ProjectivePoint(p) for p in codes.EIGHT_CUSP_POINTS)
 
 
 def twisted_cubic_example():

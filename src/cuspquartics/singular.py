@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from math import prod
 
-from . import linalg
+from . import groebner, linalg
 from .geometry import (
     ProjectivePoint,
     cusp_candidates,
@@ -25,7 +25,6 @@ from .geometry import (
     restrict_to_line,
     surface_ring,
 )
-from .groebner import Ideal, buchberger, radical_membership
 from .polyring import QQ, PolyRing
 
 
@@ -248,7 +247,12 @@ def jacobian_ideal(f):
         raise ValueError("zero polynomial has no jacobian ideal")
     if not f.is_homogeneous():
         raise ValueError("expected a homogeneous form")
-    return Ideal.spanned_by(list(f.gradient()), ring=f.ring)
+    return groebner.Ideal.spanned_by(list(f.gradient()), ring=f.ring)
+
+
+def radical_membership(g, basis, p_max):
+    """``groebner.radical_membership``; the lazy ``groebner`` runs on use."""
+    return groebner.radical_membership(g, basis, p_max)
 
 
 def singular_locus_contained_in(f, g, p_max=8, basis=None):
@@ -258,7 +262,7 @@ def singular_locus_contained_in(f, g, p_max=8, basis=None):
     found exponent verifies the claim; exhausting p_max leaves it unverified.
     """
     if basis is None:
-        basis = buchberger(jacobian_ideal(f))
+        basis = groebner.buchberger(jacobian_ideal(f))
     p = radical_membership(g, basis, p_max)
     return Certificate(
         claim=f"all singular points of the quartic lie on {g}",
@@ -328,7 +332,7 @@ class Analysis:
 
     @cached_property
     def basis(self):
-        return buchberger(jacobian_ideal(self.family.quartic))
+        return groebner.buchberger(jacobian_ideal(self.family.quartic))
 
     @cached_property
     def containment(self):

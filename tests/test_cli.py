@@ -314,6 +314,16 @@ def test_verify_example_exit_codes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("k", ["1", "-1", "0", "2/2"])
+def test_verify_barth_refuses_degenerate_k(capsys, k):
+    # k = 1 gives 8*x0^2*x1^2 and k = -1 a quartic singular along curves
+    code, out, err = run_cli(capsys, "verify-example", "barth", f"--k={k}")
+    assert code == 3
+    assert out == ""
+    assert err == ("precondition violated: the eight-cusp family needs "
+                   "k != 0, 1, -1\n")
+
+
 def test_verify_barth_warns_but_verifies(capsys):
     code, report, _ = run_json(capsys, "--json", "verify-example", "barth",
                                "--k", "3")

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
@@ -15,10 +16,13 @@ from cuspquartics.codes import (
     f3_word,
     griesmer_holds,
     is_constant_weight,
+    projective_key,
     signed_word,
     weight,
 )
 from cuspquartics.geometry import ProjectivePoint, eight_cusp_points
+from cuspquartics.linalg import rank
+from cuspquartics.polyring import QQ
 from support import code_json
 
 KNOWN_FAMILY = ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 7, 8),
@@ -164,6 +168,80 @@ def test_coplanar_subsets_refuses_float_coordinates():
     with pytest.raises(TypeError, match="cannot coerce 0.5 into QQ"):
         coplanar_subsets(pts, 4)
     assert coplanar_subsets(pts[:3] + [("1/2", "1/2", 0, 0)], 4) == [(1, 2, 3, 4)]
+
+
+def _random_point_set(rng):
+    """4 to 8 rational points of P^3 with zero and negative coordinates,
+    planted coplanar subsets, proportional and repeated points, and
+    coordinates given as ints, Fractions and strings."""
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    n = rng.randint(4, 8)
+    plane = [[rational() for _ in range(4)] for _ in range(3)]
+    points = []
+    while len(points) < n:
+        roll = rng.random()
+        if points and roll < 0.15:  # repeated, or proportional
+            scale = rational() or Fraction(-2)
+            points.append([scale * c for c in rng.choice(points)])
+        elif roll < 0.55:  # on the planted plane
+            coeffs = [rational() for _ in plane]
+            points.append([sum(a * row[j] for a, row in zip(coeffs, plane))
+                           for j in range(4)])
+        else:
+            points.append([rational() for _ in range(4)])
+        if not any(points[-1]):
+            points.pop()
+    forms = (lambda c: c, str, lambda c: int(c) if c.denominator == 1 else c)
+    return [tuple(rng.choice(forms)(c) for c in p) for p in points]
+
+
+def test_coplanar_subsets_match_the_rank_definition(make_rng):
+    rng = make_rng(77)
+    hits, misses = [0] * 9, [0] * 9
+    for _ in range(200):
+        points = _random_point_set(rng)
+        rows = [[QQ.convert(c) for c in p] for p in points]
+        for k in range(4, len(points) + 1):
+            subsets = list(combinations(range(len(points)), k))
+            expected = [tuple(i + 1 for i in sub) for sub in subsets
+                        if rank([rows[i] for i in sub]) <= 3]
+            assert coplanar_subsets(points, k) == expected, (points, k)
+            hits[k] += len(expected)
+            misses[k] += len(subsets) - len(expected)
+    # both answers occur for the planted 4- and 5-subsets
+    assert all(hits[k] and misses[k] for k in (4, 5)), (hits, misses)
+
+
+def test_projective_keys_agree_with_point_equality(make_rng):
+    rng = make_rng(78)
+
+    def vector():
+        while True:
+            v = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                 for _ in range(4)]
+            if any(v):
+                return v
+
+    for _ in range(300):
+        u, v = vector(), vector()
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 9))
+        assert projective_key(u) == projective_key([scale * c for c in u])
+        assert projective_key(u) == projective_key(ProjectivePoint(u))
+        assert projective_key(u) == ProjectivePoint(u).integer_coords()
+        assert ((projective_key(u) == projective_key(v))
+                == (ProjectivePoint(u) == ProjectivePoint(v)))
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        projective_key((0, "0", Fraction(0), 0))
+
+
+def test_coplanarity_needs_points_of_p3():
+    with pytest.raises(ValueError, match="points of P\\^3"):
+        coplanar_subsets([(1, 0, 0)] * 4, 4)
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        coplanar_subsets([(1, 0, 0, 0)] * 3 + [(0, 0, 0, 0)], 4)
 
 
 def test_configuration_symmetries_and_orbits():

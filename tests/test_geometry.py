@@ -494,6 +494,13 @@ def test_eight_cusp_quartic(ring, gens):
         eight_cusp_quartic(0)
 
 
+def test_eight_cusp_quartic_refuses_degenerate_k():
+    # k = 1 gives 8*x0^2*x1^2 and k = -1 a quartic singular along curves
+    for k in (0, 1, -1, "-1", Fraction(3, 3)):
+        with pytest.raises(ValueError, match="k != 0, 1, -1"):
+            eight_cusp_quartic(k)
+
+
 def test_manifest_roundtrip(ex61_family):
     text = family_to_manifest(ex61_family)
     again = family_from_manifest(text)

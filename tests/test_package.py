@@ -12,6 +12,7 @@ import pytest
 import cuspquartics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 LAYERS = ("polyring", "linalg", "groebner", "geometry", "singular", "codes")
 
@@ -97,7 +98,17 @@ def test_cli_import_and_enumerate_sets_skip_groebner():
     state = layer_states("enumerate-sets")
     assert state["code"] == 0
     assert state["after_import"] == ["polyring"]
-    assert state["after_run"] == ["polyring", "linalg", "geometry", "codes"]
+    assert state["after_run"] == ["polyring", "linalg", "codes"]
+
+
+def test_code_and_cusps_run_only_their_layers():
+    state = layer_states("code", "--length", "8", "--generators",
+                         "1,1,1,1,1,1,0,0;0,0,1,1,-1,-1,1,1")
+    assert state["code"] == 0
+    assert state["after_run"] == ["polyring", "linalg", "codes"]
+    state = layer_states("cusps", str(GOLDEN / "ex61.manifest"))
+    assert state["code"] == 0
+    assert state["after_run"] == ["polyring", "linalg", "geometry", "singular"]
 
 
 def test_public_names_are_still_served():
@@ -115,13 +126,17 @@ def test_public_names_are_still_served():
 
 
 def test_no_command_imports_dataclasses_or_inspect():
-    # verify-example barth executes every layer; the records are named
-    # tuples, so nothing pulls in dataclasses and the modules it imports
-    state = layer_states("verify-example", "barth")
-    assert state["code"] == 0
-    assert state["after_run"] == list(LAYERS)
-    assert not {"dataclasses", "inspect", "ast", "dis",
-                "tokenize"} & set(state["imported"])
+    # between them the two commands execute every layer; the records are
+    # named tuples, so nothing pulls in dataclasses and the modules it imports
+    barth = layer_states("verify-example", "barth")
+    assert barth["code"] == 0
+    assert barth["after_run"] == [n for n in LAYERS if n != "groebner"]
+    ex61 = layer_states("verify-example", "ex61")
+    assert ex61["code"] == 0
+    assert set(barth["after_run"]) | set(ex61["after_run"]) == set(LAYERS)
+    for state in (barth, ex61):
+        assert not {"dataclasses", "inspect", "ast", "dis",
+                    "tokenize"} & set(state["imported"])
 
 
 # the eight records: field names in order, and the defaults
