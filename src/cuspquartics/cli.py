@@ -1,7 +1,9 @@
 """Command-line front end: constructions, certificates and reports.
 
 Subcommands: gb, nf, construct, verify-example, cusps, code, enumerate-sets.
-Every run produces a report that renders as text or JSON
+argparse does the routing: each subcommand is one parser entry whose
+`run` default is its pipeline, a function of the parsed arguments that
+returns a report.  Every report renders as text or JSON
 ({command, inputs, results, warnings, verified, elapsed_ms}); the process
 exits 0 on verified success, 1 on verification failure, 2 on input errors
 and 3 on precondition violations.
@@ -19,7 +21,7 @@ from fractions import Fraction
 # looked up in them at call time, so a subcommand executes only the
 # layers it uses
 from . import codes, geometry, groebner, linalg, singular
-from .polyring import PolyRing, PolynomialError, QQ
+from .polyring import ORDER_NAMES, PolyRing, PolynomialError, QQ
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -48,19 +50,14 @@ def _new_report(command, inputs):
             "warnings": [], "verified": True, "elapsed_ms": 0}
 
 
-def _add(report, name, ok, **data):
-    entry = {"name": name, "status": "pass" if ok else "FAIL"}
+def _add(report, name, ok=None, **data):
+    """Append a result entry; `ok` None makes it an `info` entry."""
+    status = "info" if ok is None else "pass" if ok else "FAIL"
+    entry = {"name": name, "status": status}
     entry.update(data)
     report["results"].append(entry)
-    if not ok:
+    if status == "FAIL":
         report["verified"] = False
-    return ok
-
-
-def _info(report, name, **data):
-    entry = {"name": name, "status": "info"}
-    entry.update(data)
-    report["results"].append(entry)
 
 
 def _warn(report, message, **evidence):
@@ -69,25 +66,23 @@ def _warn(report, message, **evidence):
     report["warnings"].append(entry)
 
 
-def _render(report, as_json, stream=None):
-    stream = stream or sys.stdout
+def _render(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2, default=str), file=stream)
+        print(json.dumps(report, indent=2, default=str))
         return
-    print(f"command: {report['command']}", file=stream)
+    print(f"command: {report['command']}")
     for key, value in report["inputs"].items():
-        print(f"  input {key}: {value}", file=stream)
+        print(f"  input {key}: {value}")
     for entry in report["results"]:
         rest = {k: v for k, v in entry.items() if k not in ("name", "status")}
         detail = "  ".join(f"{k}={v}" for k, v in rest.items())
-        print(f"  [{entry['status']:>4}] {entry['name']}  {detail}".rstrip(),
-              file=stream)
+        print(f"  [{entry['status']:>4}] {entry['name']}  {detail}".rstrip())
     for w in report["warnings"]:
         rest = {k: v for k, v in w.items() if k != "message"}
         detail = "  ".join(f"{k}={v}" for k, v in rest.items())
-        print(f"  [WARN] {w['message']}  {detail}".rstrip(), file=stream)
+        print(f"  [WARN] {w['message']}  {detail}".rstrip())
     status = "VERIFIED" if report["verified"] else "FAILED"
-    print(f"{status} in {report['elapsed_ms']} ms", file=stream)
+    print(f"{status} in {report['elapsed_ms']} ms")
 
 
 def _ring_from(names, order):
@@ -96,6 +91,21 @@ def _ring_from(names, order):
                         QQ, order)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _read(path, what, lines=False):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines() if lines else fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def _ints(text, what):
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise InputError(f"bad {what} {text!r}") from exc
 
 
 def _parse_generators(text, ring):
@@ -114,74 +124,76 @@ def _parse_generators(text, ring):
 # subcommand pipelines
 # ---------------------------------------------------------------------------
 
-def report_gb(gens_text, order, var_names):
-    ring = _ring_from(var_names, order)
-    report = _new_report("gb", {"generators": gens_text, "order": order,
+def report_gb(args):
+    text = args.generators
+    if args.file:
+        lines = _read(args.file, "generator file", lines=True)
+        text = ",".join(line.strip() for line in lines
+                        if line.strip() and not line.startswith("#"))
+    if not text:
+        raise InputError("no generators given (inline or --file)")
+    ring = _ring_from(args.vars, args.order)
+    report = _new_report("gb", {"generators": text, "order": args.order,
                                 "variables": ring.variables})
-    gens = _parse_generators(gens_text, ring)
+    gens = _parse_generators(text, ring)
     basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring),
                                 audit=True)
-    _info(report, "reduced basis", size=len(basis),
-          elements=[str(g) for g in basis])
+    _add(report, "reduced basis", size=len(basis),
+         elements=[str(g) for g in basis])
     _add(report, "s-polynomial audit", basis.audit)
     return report
 
 
-def report_nf(gens_text, poly_text, order, var_names):
-    ring = _ring_from(var_names, order)
-    report = _new_report("nf", {"generators": gens_text, "polynomial": poly_text,
-                                "order": order})
-    gens = _parse_generators(gens_text, ring)
-    g = ring.parse(poly_text)
+def report_nf(args):
+    ring = _ring_from(args.vars, args.order)
+    report = _new_report("nf", {"generators": args.generators,
+                                "polynomial": args.polynomial,
+                                "order": args.order})
+    gens = _parse_generators(args.generators, ring)
+    g = ring.parse(args.polynomial)
     basis = groebner.buchberger(groebner.Ideal.spanned_by(gens, ring=ring))
     r = groebner.normal_form(g, basis)
-    _info(report, "normal form", remainder=str(r), basis_size=len(basis),
-          in_ideal=r.is_zero())
+    _add(report, "normal form", remainder=str(r), basis_size=len(basis),
+         in_ideal=r.is_zero())
     return report
 
 
-def _load_family(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read manifest: {exc}") from exc
-    return geometry.family_from_manifest(text)
+def _add_search(report, search, **configuration):
+    _add(report, "configuration", type=search.configuration.kind.value,
+         **configuration)
+    _add(report, "cusp candidates", points=[str(p) for p in search.points],
+         unresolved=[str(u) for u in search.unresolved])
 
 
-def report_construct(path, certify, pmax):
-    family = _load_family(path)
-    analysis = singular.Analysis(family, pmax)
-    report = _new_report("construct", {"manifest": path, "pmax": pmax})
-    _info(report, "quartic", polynomial=str(family.quartic))
+def report_construct(args):
+    family = geometry.family_from_manifest(_read(args.manifest, "manifest"))
+    analysis = singular.Analysis(family, args.pmax)
+    report = _new_report("construct", {"manifest": args.manifest,
+                                       "pmax": args.pmax})
+    _add(report, "quartic", polynomial=str(family.quartic))
     search = analysis.search
-    config = search.configuration
-    _info(report, "configuration", type=config.kind.value,
-          vertex=str(config.vertex) if config.vertex else None)
-    _info(report, "cusp candidates", points=[str(p) for p in search.points],
-          unresolved=[str(u) for u in search.unresolved])
+    vertex = search.configuration.vertex
+    _add_search(report, search, vertex=str(vertex) if vertex else None)
     if search.lines:
-        _info(report, "carrier lines", lines=[str(l) for l in search.lines])
-    if certify:
+        _add(report, "carrier lines", lines=[str(l) for l in search.lines])
+    if args.certify:
         _run_certificates(report, analysis)
     return report
 
 
-def report_cusps(path):
-    analysis = singular.Analysis(_load_family(path))
-    report = _new_report("cusps", {"manifest": path})
-    search = analysis.search
-    _info(report, "configuration", type=search.configuration.kind.value)
-    _info(report, "cusp candidates", points=[str(p) for p in search.points],
-          unresolved=[str(u) for u in search.unresolved])
-    for point in search.points:
-        _info(report, f"classification {point}",
-              kind=analysis.verdict(point).kind.value)
+def report_cusps(args):
+    family = geometry.family_from_manifest(_read(args.manifest, "manifest"))
+    analysis = singular.Analysis(family)
+    report = _new_report("cusps", {"manifest": args.manifest})
+    _add_search(report, analysis.search)
+    for point in analysis.search.points:
+        _add(report, f"classification {point}",
+             kind=analysis.verdict(point).kind.value)
     return report
 
 
 def _run_certificates(report, analysis):
-    _info(report, "jacobian groebner basis", size=len(analysis.basis))
+    _add(report, "jacobian groebner basis", size=len(analysis.basis))
     for label, cert in analysis.containment.items():
         _add(report, f"singular locus inside {label.replace('_', ' ')}",
              cert.verified, exponent=cert.data["exponent"])
@@ -198,52 +210,49 @@ def _run_certificates(report, analysis):
              exponents=full.data["exponents"])
 
 
-def report_code(length, generators_text, griesmer_claims):
-    report = _new_report("code", {"length": length,
-                                  "generators": generators_text})
-    words = []
-    for chunk in generators_text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            word = tuple(int(v) for v in chunk.replace(",", " ").split())
-        except ValueError as exc:
-            raise InputError(f"bad word {chunk!r}") from exc
-        words.append(word)
+def report_code(args):
+    claims = []
+    for claim in args.griesmer:
+        values = _ints(claim, "griesmer claim")
+        if len(values) != 3 or min(values) < 1:
+            raise InputError(f"bad griesmer claim {claim!r}")
+        claims.append(values)
+    report = _new_report("code", {"length": args.length,
+                                  "generators": args.generators})
+    words = [_ints(chunk.strip(), "word")
+             for chunk in args.generators.split(";") if chunk.strip()]
     if not words:
         raise InputError("no generator words given")
     try:
-        code = codes.TernaryCode(length, words)
+        code = codes.TernaryCode(args.length, words)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if code.dimension > MAX_CODE_DIMENSION:
         raise InputError(f"code dimension {code.dimension} exceeds the limit "
                          f"{MAX_CODE_DIMENSION} of the codeword enumeration")
     dist = code.weight_distribution()
-    _info(report, "code", dimension=code.dimension,
-          weight_distribution={str(k): v for k, v in sorted(dist.items())},
-          supports=sorted(sorted(s) for s in code.supports()))
+    _add(report, "code", dimension=code.dimension,
+         weight_distribution={str(k): v for k, v in sorted(dist.items())},
+         supports=sorted(sorted(s) for s in code.supports()))
     nonzero = sorted(k for k in dist if k > 0)
     if len(nonzero) == 1:
-        _info(report, "constant weight", r=nonzero[0])
-        griesmer_claims = list(griesmer_claims) + [(length, code.dimension,
-                                                    nonzero[0])]
-    for q, d, r in griesmer_claims:
-        _info(report, f"griesmer bound for [{q},{d},{{{r}}}]",
-              holds=codes.griesmer_holds(q, d, r))
+        _add(report, "constant weight", r=nonzero[0])
+        claims.append((args.length, code.dimension, nonzero[0]))
+    for q, d, r in claims:
+        _add(report, f"griesmer bound for [{q},{d},{{{r}}}]",
+             holds=codes.griesmer_holds(q, d, r))
     return report
 
 
-def report_enumerate_sets():
+def report_enumerate_sets(args):
     report = _new_report("enumerate-sets", {"configuration": "eight-cusp quartic"})
     config = codes.configuration_from_coordinate_swaps(codes.EIGHT_CUSP_POINTS)
-    _info(report, "points", points=[f"({' : '.join(map(str, p))})"
-                                    for p in config.points])
-    _info(report, "orbits", orbits=config.orbits())
+    _add(report, "points", points=[f"({' : '.join(map(str, p))})"
+                                   for p in config.points])
+    _add(report, "orbits", orbits=config.orbits())
     families = codes.enumerate_divisible_families(config)
-    _info(report, "support families",
-          count=len(families), families=[list(map(list, f)) for f in families])
+    _add(report, "support families",
+         count=len(families), families=[list(map(list, f)) for f in families])
     return report
 
 
@@ -251,23 +260,13 @@ def report_enumerate_sets():
 # worked-example verification
 # ---------------------------------------------------------------------------
 
-def report_verify_example(name, k, pmax):
-    if name == "ex61":
-        return _verify_twisted_cubic(pmax)
-    if name == "ex62":
-        return _verify_concurrent_lines(pmax)
-    if name == "barth":
-        return _verify_eight_cusp(k)
-    raise InputError(f"unknown example {name!r} (expected ex61, ex62 or barth)")
-
-
-def _verify_twisted_cubic(pmax):
-    report = _new_report("verify-example", {"name": "ex61", "pmax": pmax})
+def _verify_twisted_cubic(args):
+    report = _new_report("verify-example", {"name": "ex61", "pmax": args.pmax})
     family = geometry.twisted_cubic_example()
-    _info(report, "quartic", polynomial=str(family.quartic))
+    _add(report, "quartic", polynomial=str(family.quartic))
     _add(report, "determinantal equation agrees with exact division",
          family.sextic.exact_divide(family.residual) == family.quartic)
-    analysis = singular.Analysis(family, pmax)
+    analysis = singular.Analysis(family, args.pmax)
     search = analysis.search
     _add(report, "configuration is type I",
          search.configuration.kind is geometry.ConfigurationType.TWISTED_CUBIC)
@@ -317,8 +316,8 @@ def _common_cusp_checks(report, analysis):
          all(analysis.family.residual.evaluate(p.coords) != 0 for p in points))
 
 
-def _verify_concurrent_lines(pmax):
-    report = _new_report("verify-example", {"name": "ex62", "pmax": pmax})
+def _verify_concurrent_lines(args):
+    report = _new_report("verify-example", {"name": "ex62", "pmax": args.pmax})
     family = geometry.concurrent_lines_example()
     ring = family.ring
     x0, x1, x2, x3 = ring.gens()
@@ -326,7 +325,7 @@ def _verify_concurrent_lines(pmax):
          family.residual == x3 * x3 - x2 * x2 - x0 * x1)
     _add(report, "contact quadric is x3^2 - x2^2",
          family.contact_quadric == x3 * x3 - x2 * x2)
-    analysis = singular.Analysis(family, pmax)
+    analysis = singular.Analysis(family, args.pmax)
     search = analysis.search
     config = search.configuration
     vertex_ok = (config.kind is geometry.ConfigurationType.CONCURRENT_LINES
@@ -352,8 +351,8 @@ def _verify_concurrent_lines(pmax):
     return report
 
 
-def _verify_eight_cusp(k):
-    k = Fraction(k)
+def _verify_eight_cusp(args):
+    k = args.k
     report = _new_report("verify-example", {"name": "barth", "k": str(k)})
     if k in (0, 1, -1):
         raise PreconditionError("the eight-cusp family needs k != 0, 1, -1")
@@ -365,13 +364,14 @@ def _verify_eight_cusp(k):
     _add(report, "all eight points are singular",
          all(not any(data.gradient) for data in local))
     verdicts = [data.verdict for data in local]
-    _info(report, "classification verdicts",
-          verdicts={str(p): v.kind.value for p, v in zip(points, verdicts)})
+    _add(report, "classification verdicts",
+         verdicts={str(p): v.kind.value for p, v in zip(points, verdicts)})
     a1_points = [str(p) for p, v in zip(points, verdicts)
                  if v.kind is singular.SingularityKind.A1]
     if a1_points:
-        det_value = _corner_quadratic_determinant(
-            local[points.index(geometry.ProjectivePoint((1, 0, 0, 0)))])
+        # det of the local quadratic form at (1:0:0:0), an exact cross-check
+        corner = local[points.index(geometry.ProjectivePoint((1, 0, 0, 0)))]
+        det_value = linalg.det(singular.quadratic_form_matrix(corner.piece(2)))
         formula = -(k / 2) * (1 + k) ** 2 * (1 - k) ** 6
         _warn(report,
               "the printed polynomial makes the coordinate points ordinary "
@@ -403,13 +403,12 @@ def _verify_eight_cusp(k):
     return report
 
 
-def _corner_quadratic_determinant(corner):
-    """det of the local quadratic form at (1:0:0:0), an exact cross-check."""
-    return linalg.det(singular.quadratic_form_matrix(corner.piece(2)))
+EXAMPLES = {"ex61": _verify_twisted_cubic, "ex62": _verify_concurrent_lines,
+            "barth": _verify_eight_cusp}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing
 # ---------------------------------------------------------------------------
 
 def _fraction(text):
@@ -434,100 +433,62 @@ def _attach_negative_k(argv):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit the report as JSON")
-    common.add_argument("--order", choices=("grevlex", "lex", "grlex"),
-                        default=argparse.SUPPRESS, help="term order")
-    common.add_argument("--pmax", type=int, default=argparse.SUPPRESS,
-                        help="cap for radical-membership exponents")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed echoed into the report (for scripted runs)")
-
     parser = argparse.ArgumentParser(
         prog="cuspquartics",
         description="exact constructions and certificates for cuspidal quartics")
-    parser.add_argument("--json", action="store_true", default=False)
-    parser.add_argument("--order", choices=("grevlex", "lex", "grlex"),
-                        default="grevlex")
-    parser.add_argument("--pmax", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # no defaults on either copy: a value given before the subcommand stands
+    common = argparse.ArgumentParser(add_help=False)
+    for target in (parser, common):
+        target.add_argument("--json", action="store_true",
+                            default=argparse.SUPPRESS,
+                            help="emit the report as JSON")
+        target.add_argument("--order", choices=ORDER_NAMES,
+                            default=argparse.SUPPRESS, help="term order")
+        target.add_argument("--pmax", type=int, default=argparse.SUPPRESS,
+                            help="cap for radical-membership exponents")
+        target.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                            help="seed echoed into the report (for scripted runs)")
+    parser.set_defaults(json=False, order="grevlex", pmax=8, seed=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis")
-    p.add_argument("generators", nargs="?", default=None,
-                   help="comma-separated polynomials")
+    def command(name, run, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("gb", report_gb, "reduced Groebner basis")
+    p.add_argument("generators", nargs="?", help="comma-separated polynomials")
     p.add_argument("--file", help="file with one generator per line")
     p.add_argument("--vars", default="x0,x1,x2,x3")
 
-    p = sub.add_parser("nf", parents=[common], help="normal form")
+    p = command("nf", report_nf, "normal form")
     p.add_argument("generators")
     p.add_argument("polynomial")
     p.add_argument("--vars", default="x0,x1,x2,x3")
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a family from a manifest")
+    p = command("construct", report_construct, "build a family from a manifest")
     p.add_argument("manifest")
     p.add_argument("--certify", action="store_true")
 
-    p = sub.add_parser("verify-example", parents=[common],
-                       help="re-check a worked example")
-    p.add_argument("name", choices=("ex61", "ex62", "barth"))
+    p = command("verify-example", lambda args: EXAMPLES[args.name](args),
+                "re-check a worked example")
+    p.add_argument("name", choices=EXAMPLES)
     p.add_argument("--k", type=_fraction, default="2",
                    help="parameter for the barth family, e.g. 2 or -7/5")
 
-    p = sub.add_parser("cusps", parents=[common],
-                       help="cusp candidates of a manifest family")
+    p = command("cusps", report_cusps, "cusp candidates of a manifest family")
     p.add_argument("manifest")
 
-    p = sub.add_parser("code", parents=[common], help="ternary code report")
+    p = command("code", report_code, "ternary code report")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--generators", required=True,
                    help="semicolon-separated words, e.g. '1,1,0;0,1,-1'")
     p.add_argument("--griesmer", action="append", default=[],
                    metavar="Q,D,R", help="extra bound checks")
 
-    sub.add_parser("enumerate-sets", parents=[common],
-                   help="search three-divisible support families")
+    command("enumerate-sets", report_enumerate_sets,
+            "search three-divisible support families")
     return parser
-
-
-def _dispatch(args):
-    if args.subcommand == "gb":
-        text = args.generators
-        if args.file:
-            try:
-                with open(args.file, "r", encoding="utf-8") as fh:
-                    lines = fh.readlines()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise InputError(f"cannot read generator file: {exc}") from exc
-            text = ",".join(line.strip() for line in lines
-                            if line.strip() and not line.startswith("#"))
-        if not text:
-            raise InputError("no generators given (inline or --file)")
-        return report_gb(text, args.order, args.vars)
-    if args.subcommand == "nf":
-        return report_nf(args.generators, args.polynomial, args.order, args.vars)
-    if args.subcommand == "construct":
-        return report_construct(args.manifest, args.certify, args.pmax)
-    if args.subcommand == "verify-example":
-        return report_verify_example(args.name, args.k, args.pmax)
-    if args.subcommand == "cusps":
-        return report_cusps(args.manifest)
-    if args.subcommand == "code":
-        claims = []
-        for claim in args.griesmer:
-            try:
-                q, d, r = (int(v) for v in claim.replace(",", " ").split())
-            except ValueError as exc:
-                raise InputError(f"bad griesmer claim {claim!r}") from exc
-            if min(q, d, r) < 1:
-                raise InputError(f"bad griesmer claim {claim!r}")
-            claims.append((q, d, r))
-        return report_code(args.length, args.generators, claims)
-    if args.subcommand == "enumerate-sets":
-        return report_enumerate_sets()
-    raise InputError(f"unknown subcommand {args.subcommand!r}")
 
 
 def main(argv=None):
@@ -552,7 +513,7 @@ def main(argv=None):
 def _run(args):
     started = time.monotonic()
     try:
-        report = _dispatch(args)
+        report = args.run(args)
     except (InputError, PolynomialError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -556,6 +556,32 @@ BAD_INPUTS = {
     "missing-file": (("cusps", "{path}"), None, 2,
                      "input error: cannot read manifest: [Errno 2] No such "
                      "file or directory: '{path}'"),
+    "gb-file-only-comments": (("gb", "--file", "{path}"), b"# x0\n#x1 + x2\n", 2,
+                              "input error: no generators given (inline or --file)"),
+    "gb-missing-file": (("gb", "--file", "{path}"), None, 2,
+                        "input error: cannot read generator file: [Errno 2] No "
+                        "such file or directory: '{path}'"),
+    # the file is read before the ring is built
+    "gb-file-before-vars": (("gb", "--file", "{path}", "--vars", "x0,x0"), None, 2,
+                            "input error: cannot read generator file: [Errno 2] "
+                            "No such file or directory: '{path}'"),
+    "code-bad-word": (("code", "--length", "3", "--generators", "1,x,0"), None, 2,
+                      "input error: bad word '1,x,0'"),
+    "code-no-words": (("code", "--length", "3", "--generators", ";"), None, 2,
+                      "input error: no generator words given"),
+    "griesmer-two-values": (("code", "--length", "3", "--generators", "1,1,0",
+                             "--griesmer", "8,3"), None, 2,
+                            "input error: bad griesmer claim '8,3'"),
+    "griesmer-not-integer": (("code", "--length", "3", "--generators", "1,1,0",
+                              "--griesmer", "8,x,3"), None, 2,
+                             "input error: bad griesmer claim '8,x,3'"),
+    "griesmer-below-one": (("code", "--length", "3", "--generators", "1,1,0",
+                            "--griesmer", "8,0,3"), None, 2,
+                           "input error: bad griesmer claim '8,0,3'"),
+    # the claims are checked before the words
+    "griesmer-before-words": (("code", "--length", "3", "--generators", "1,x,0",
+                               "--griesmer", "8,3"), None, 2,
+                              "input error: bad griesmer claim '8,3'"),
 }
 
 
@@ -570,6 +596,62 @@ def test_bad_input_exit_code_and_message(capsys, tmp_path, argv, manifest,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (exit_code, "",
                                 message.replace("{path}", str(path)) + "\n")
+
+
+GLOBAL_USAGE = "[-h] [--json] [--order {grevlex,lex,grlex}] [--pmax PMAX] [--seed SEED]"
+GLOBAL_OPTIONS = (
+    ("-h, --help", "show this help message and exit"),
+    ("--json", "emit the report as JSON"),
+    ("--order {grevlex,lex,grlex}", "term order"),
+    ("--pmax PMAX", "cap for radical-membership exponents"),
+    ("--seed SEED", "seed echoed into the report (for scripted runs)"),
+)
+# each subcommand's usage after the global options, and its own options
+SUBCOMMAND_HELP = {
+    "gb": ("[--file FILE] [--vars VARS] [generators]",
+           (("--file FILE", "file with one generator per line"), ("--vars VARS", ""))),
+    "nf": ("[--vars VARS] generators polynomial", (("--vars VARS", ""),)),
+    "construct": ("[--certify] manifest", (("--certify", ""),)),
+    "verify-example": ("[--k K] {ex61,ex62,barth}",
+                       (("--k K", "parameter for the barth family, e.g. 2 or -7/5"),)),
+    "cusps": ("manifest", ()),
+    "code": ("--length LENGTH --generators GENERATORS [--griesmer Q,D,R]",
+             (("--length LENGTH", ""),
+              ("--generators GENERATORS", "semicolon-separated words, e.g. '1,1,0;0,1,-1'"),
+              ("--griesmer Q,D,R", "extra bound checks"))),
+    "enumerate-sets": ("", ()),
+}
+
+
+def run_help(capsys, *argv):
+    """Exit code, usage line and (invocation, help) option list of --help,
+    with whitespace collapsed so that the terminal width does not matter."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    usage, _, rest = capsys.readouterr().out.partition("\n\n")
+    options = []
+    for line in rest.split("options:\n", 1)[1].split("\n\n")[0].splitlines():
+        if line.startswith("  -"):
+            invocation, _, text = line.strip().partition("  ")
+            options.append((invocation, text.strip()))
+        else:
+            options[-1] = (options[-1][0], f"{options[-1][1]} {line.strip()}".strip())
+    return exc.value.code, " ".join(usage.split()), tuple(options)
+
+
+@pytest.mark.parametrize("sub", SUBCOMMAND_HELP)
+def test_subcommand_help(capsys, sub):
+    tail, own = SUBCOMMAND_HELP[sub]
+    usage = f"usage: cuspquartics {sub} {GLOBAL_USAGE} {tail}".rstrip()
+    assert run_help(capsys, sub) == (0, usage, GLOBAL_OPTIONS + own)
+
+
+def test_root_help(capsys):
+    code, usage, options = run_help(capsys)
+    assert (code, usage) == (0, f"usage: cuspquartics {GLOBAL_USAGE} "
+                                "{gb,nf,construct,verify-example,cusps,code,"
+                                "enumerate-sets} ...")
+    assert [o[0] for o in options] == [o[0] for o in GLOBAL_OPTIONS]
 
 
 def test_nf_prints_a_remainder_beyond_the_interpreter_digit_limit(capsys):
