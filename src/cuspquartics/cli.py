@@ -93,10 +93,10 @@ def _ring_from(names, order):
         raise InputError(str(exc)) from exc
 
 
-def _read(path, what, lines=False):
+def _read(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines() if lines else fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
 
@@ -127,7 +127,7 @@ def _parse_generators(text, ring):
 def report_gb(args):
     text = args.generators
     if args.file:
-        lines = _read(args.file, "generator file", lines=True)
+        lines = _read(args.file, "generator file").split("\n")
         text = ",".join(line.strip() for line in lines
                         if line.strip() and not line.startswith("#"))
     if not text:
@@ -436,7 +436,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cuspquartics",
         description="exact constructions and certificates for cuspidal quartics")
-    # no defaults on either copy: a value given before the subcommand stands
+    # root-only defaults (set_defaults): a value given before the subcommand stands
     common = argparse.ArgumentParser(add_help=False)
     for target in (parser, common):
         target.add_argument("--json", action="store_true",

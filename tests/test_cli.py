@@ -558,6 +558,11 @@ BAD_INPUTS = {
                      "file or directory: '{path}'"),
     "gb-file-only-comments": (("gb", "--file", "{path}"), b"# x0\n#x1 + x2\n", 2,
                               "input error: no generators given (inline or --file)"),
+    # the offset is the byte's offset in the file, not in a decode chunk
+    "gb-undecodable-past-8kb": (("gb", "--file", "{path}"), b"x0\n" * 4000 + b"\xff",
+                                2, "input error: cannot read generator file: "
+                                "'utf-8' codec can't decode byte 0xff in position "
+                                "12000: invalid start byte"),
     "gb-missing-file": (("gb", "--file", "{path}"), None, 2,
                         "input error: cannot read generator file: [Errno 2] No "
                         "such file or directory: '{path}'"),
