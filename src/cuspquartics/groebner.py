@@ -11,14 +11,17 @@ One Buchberger loop and one reducer serve every caller and both coefficient
 domains.  They work on coefficient dicts keyed by packed monomials: inside
 the engine a monomial is one integer, whose order is the term order and
 whose sum is the product (``_Engine``); polynomials outside keep exponent
-tuples.  Over QQ the coefficients are integers, divisors are content-free,
-and a reduction step scales the work by a gcd cofactor instead of dividing,
-with content removed on the way; over GF(p) the coefficients are residues
-and divisors are monic, so no step scales.  Zero tests (membership, radical
-exponents, the S-pair audit) read that primitive remainder directly;
-``normal_form`` divides it by the unit the reducer tracked, so remainders
-exposed to callers are exact.  The audit checks the pairs that the criteria
-keep when they are replayed over the basis.
+tuples.  A pair is keyed by the packed lcm of its leads, so the criteria
+and the selection compare ints.  Over QQ the coefficients are integers,
+divisors are content-free, and a reduction step scales the work by a gcd
+cofactor instead of dividing, with content removed on the way; over GF(p)
+the coefficients are residues and divisors are monic, so no step scales.
+Zero tests (membership, radical exponents, the S-pair audit) read that
+primitive remainder directly; ``normal_form`` divides it by the unit the
+reducer tracked, so remainders exposed to callers are exact.  A
+``GroebnerBasis`` converts its elements to divisor views once, and every
+reduction modulo it reads them.  The audit checks the pairs that the
+criteria keep when they are replayed over the basis.
 
 Over QQ the loop runs as a Groebner trace (Traverso 1988) when the caller
 pays for the audit anyway (``buchberger(..., audit=True)``, the verdict in
@@ -46,7 +49,6 @@ from .polyring import (
     RingMismatchError,
     monomial_div,
     monomial_lcm,
-    monomial_mul,
 )
 
 # bits per exponent field: twice EXPONENT_CAP and a guard bit
@@ -66,7 +68,8 @@ class Ideal:
     def __init__(self, generators):
         generators = [g for g in generators if not g.is_zero()]
         if not generators:
-            raise ValueError("ideal needs at least one polynomial (may be zero)")
+            raise ValueError("ideal needs a nonzero generator; "
+                             "Ideal.spanned_by(..., ring=...) builds the zero ideal")
         ring = generators[0].ring
         for g in generators:
             if g.ring != ring:
@@ -98,15 +101,18 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements, sorted by leading monomial.
 
     ``audit`` is the verdict of ``verify_buchberger_criterion`` when
-    ``buchberger`` ran it on this basis, else None.
+    ``buchberger`` ran it on this basis, else None.  The engine's divisor
+    views of the elements are built once, here; the audit and every
+    reduction modulo the basis read them.
     """
 
-    __slots__ = ("ring", "polys", "audit")
+    __slots__ = ("ring", "polys", "audit", "_views")
 
     def __init__(self, ring, polys, audit=None):
         self.ring = ring
         self.polys = tuple(polys)
         self.audit = audit
+        self._views = tuple(_Engine(ring).divisors(self.polys))
 
     def __len__(self):
         return len(self.polys)
@@ -125,13 +131,12 @@ class GroebnerBasis:
         drop reduce to zero whenever the kept ones do.
         """
         engine = _Engine(self.ring)
-        divisors = engine.divisors(self.polys)
-        lms = [engine.unpack(d[0]) for d in divisors]
+        divisors = self._views
         pairs = {}
-        for t in range(len(lms)):
-            pairs = _update_pairs(lms, pairs, t, self.ring.key)
-        return all(not engine.reduce(engine.spair(divisors[i], divisors[j]),
-                                     divisors)[0]
+        for t in range(len(divisors)):
+            pairs = _update_pairs(engine, divisors, pairs, t)
+        return all(not engine.reduce(engine.spair(pairs[i, j], divisors[i],
+                                                  divisors[j]), divisors)[0]
                    for i, j in sorted(pairs))
 
     def __repr__(self):
@@ -246,11 +251,11 @@ class _Engine:
             return {m: c % self.modulus for m, c in out.items() if c % self.modulus}
         return {m: c for m, c in out.items() if c}
 
-    def spair(self, di, dj):
-        """S-polynomial of two divisors, free of denominators."""
+    def spair(self, top, di, dj):
+        """S-polynomial of two divisors whose leads have lcm ``top``, free
+        of denominators."""
         lmi, ci, fi, peaki = di
         lmj, cj, fj, peakj = dj
-        top = self.pack(monomial_lcm(self.unpack(lmi), self.unpack(lmj)))
         g = gcd(ci, cj)
         return self.combine(((top - lmi, cj // g, fi, peaki),
                              (top - lmj, -(ci // g), fj, peakj)))
@@ -334,12 +339,11 @@ def _divisors(engine, g, basis):
         if basis.ring != g.ring:
             raise RingMismatchError("polynomial and basis rings differ "
                                     "(order or variables mismatch)")
-        polys = basis.polys
-    else:
-        polys = tuple(basis)
-        for d in polys:
-            if d.ring != g.ring:
-                raise RingMismatchError("polynomial and divisor rings differ")
+        return basis._views
+    polys = tuple(basis)
+    for d in polys:
+        if d.ring != g.ring:
+            raise RingMismatchError("polynomial and divisor rings differ")
     return engine.divisors(polys)
 
 
@@ -358,35 +362,35 @@ def normal_form(g, basis):
 # Buchberger's algorithm
 # ---------------------------------------------------------------------------
 
-def _update_pairs(lms, pairs, t, key):
+def _update_pairs(engine, divisors, pairs, t):
     """Gebauer-Moeller pair update after appending element t.
 
-    Implements Buchberger's product and chain criteria; ``lms`` holds the
-    leading monomials including the new element at index t.  ``pairs``
-    maps (i, j) to (key(L), L) for the lcm L of its leads, the selection
-    key computed once when the pair is created.
+    Implements Buchberger's product and chain criteria; ``divisors`` holds
+    the divisors including the new element at index t.  ``pairs`` maps
+    (i, j) to the packed lcm L of its leads, which is also its place in the
+    term order.
     """
-    lmf = lms[t]
+    lmf = divisors[t][0]
     kept = {}
-    for (i, j), entry in pairs.items():
-        lij = entry[1]
-        if (monomial_div(lij, lmf) is None
-                or lij == monomial_lcm(lms[i], lmf)
-                or lij == monomial_lcm(lms[j], lmf)):
-            kept[i, j] = entry
+    for (i, j), lij in pairs.items():
+        if (not engine.divides(lmf, lij)
+                or lij == engine.peak((divisors[i][0], lmf))
+                or lij == engine.peak((divisors[j][0], lmf))):
+            kept[i, j] = lij
     by_lcm = {}
     for i in range(t):
-        by_lcm.setdefault(monomial_lcm(lms[i], lmf), []).append(i)
+        by_lcm.setdefault(engine.peak((divisors[i][0], lmf)), []).append(i)
+    # the term order extends divisibility, so divisors of L come first
     minimal = []
-    for L in sorted(by_lcm, key=sum):
-        if all(monomial_div(L, M) is None for M in minimal):
+    for L in sorted(by_lcm):
+        if not any(engine.divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
         group = by_lcm[L]
         # product criterion: drop the class if some member is coprime to lmf
-        if any(L == monomial_mul(lms[i], lmf) for i in group):
+        if any(L == divisors[i][0] + lmf for i in group):
             continue
-        kept[min(group), t] = (key(L), L)
+        kept[min(group), t] = L
     return kept
 
 
@@ -401,25 +405,23 @@ def _loop(engine, gens, trace=None):
     While the leads agree, both runs hold the same pairs.
     """
     G = []
-    lms = []
     pairs = {}
     outcomes = {}
 
     def append(p):
         nonlocal pairs
         G.append(engine.divisor(p))
-        lms.append(engine.unpack(G[-1][0]))
-        pairs = _update_pairs(lms, pairs, len(G) - 1, engine.ring.key)
+        pairs = _update_pairs(engine, G, pairs, len(G) - 1)
 
     for g in gens:
         append(g)
     while pairs:
         # normal strategy: least lcm in the term order, then (i, j)
-        i, j = min(pairs, key=lambda ij: (pairs[ij][0], ij))
+        L, (i, j) = min((L, ij) for ij, L in pairs.items())
         del pairs[i, j]
         if trace is not None and trace.get((i, j)) is None:
             continue
-        s = engine.spair(G[i], G[j])
+        s = engine.spair(L, G[i], G[j])
         r = engine.reduce(s, G)[0] if s else s
         lead = max(r) if r else None
         if trace is not None and lead != trace[i, j]:
@@ -471,9 +473,8 @@ def _traced(engine, gens):
     if run is None:
         return None
     basis = GroebnerBasis(ring, _interreduce(engine, run[0]), True)
-    divisors = engine.divisors(basis.polys)
     if (basis.verify_buchberger_criterion()
-            and not any(engine.reduce(g, divisors)[0] for g in gens)):
+            and not any(engine.reduce(g, basis._views)[0] for g in gens)):
         return basis
     return None
 

@@ -250,11 +250,6 @@ def jacobian_ideal(f):
     return groebner.Ideal.spanned_by(list(f.gradient()), ring=f.ring)
 
 
-def radical_membership(g, basis, p_max):
-    """``groebner.radical_membership``; the lazy ``groebner`` runs on use."""
-    return groebner.radical_membership(g, basis, p_max)
-
-
 def singular_locus_contained_in(f, g, p_max=8, basis=None):
     """Certificate that every singular point of f lies on the hypersurface g.
 
@@ -263,7 +258,7 @@ def singular_locus_contained_in(f, g, p_max=8, basis=None):
     """
     if basis is None:
         basis = groebner.buchberger(jacobian_ideal(f))
-    p = radical_membership(g, basis, p_max)
+    p = groebner.radical_membership(g, basis, p_max)
     return Certificate(
         claim=f"all singular points of the quartic lie on {g}",
         data={"surface": f, "hypersurface": g, "exponent": p,

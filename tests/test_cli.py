@@ -109,6 +109,21 @@ def test_gb_audits_the_basis_once(capsys, monkeypatch):
     assert len(audits) == 1
 
 
+@pytest.mark.parametrize("gens, elements", [
+    ("x0^40000, x0^30000*x1", ["x0^30000*x1", "x0^40000"]),
+    ("x0^40000 - 1, x0^30000*x1 - x1", ["x0^10000*x1 - x1", "x0^40000 - 1"]),
+])
+def test_gb_pair_criteria_stay_below_the_exponent_cap(capsys, gens, elements):
+    # the product criterion compares an lcm with the product of two leads,
+    # x0^70000*x1 here; no polynomial of the run passes the cap
+    code, report, _ = run_json(capsys, "--json", "gb", gens, "--vars", "x0,x1")
+    assert code == 0
+    basis = next(r for r in report["results"] if r["name"] == "reduced basis")
+    assert basis["elements"] == elements
+    audit = next(r for r in report["results"] if r["name"] == "s-polynomial audit")
+    assert audit["status"] == "pass"
+
+
 def test_gb_unreadable_file_exit2(capsys, tmp_path):
     undecodable = tmp_path / "latin1.txt"
     undecodable.write_bytes(b"x0 - \xff\n")
@@ -384,20 +399,20 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
                                                         monkeypatch):
     from collections import Counter
 
-    from cuspquartics import geometry, singular
+    from test_groebner import BOUND_3000_MANIFEST
+
+    from cuspquartics import geometry, groebner, singular
     from cuspquartics.polyring import Polynomial
 
-    path = tmp_path / "fam.txt"
-    path.write_text(EX61_MANIFEST)
-    quartic = geometry.family_from_manifest(EX61_MANIFEST).quartic
-    local_data, memberships, partials = Counter(), [], []
+    local_data, memberships, partials, conversions = Counter(), [], [], []
+    quartic = None
 
     original_init = singular.LocalData.__init__
     def counting_init(self, f, point, chart=None):
         local_data[(f, point)] += 1
         original_init(self, f, point, chart)
 
-    original_membership = singular.radical_membership
+    original_membership = groebner.radical_membership
     def counting_membership(*args):
         memberships.append(args[0])
         return original_membership(*args)
@@ -408,21 +423,36 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
             partials.append(var)
         return original_partial(self, var)
 
+    original_divisors = groebner._Engine.divisors
+    def counting_divisors(self, polys):
+        conversions.append(polys)
+        return original_divisors(self, polys)
+
     def no_expansion(*args, **kwargs):
         raise AssertionError("local_expansion on a CLI path")
 
     monkeypatch.setattr(singular.LocalData, "__init__", counting_init)
-    monkeypatch.setattr(singular, "radical_membership", counting_membership)
+    monkeypatch.setattr(groebner, "radical_membership", counting_membership)
     monkeypatch.setattr(Polynomial, "partial_derivative", counting_partial)
+    monkeypatch.setattr(groebner._Engine, "divisors", counting_divisors)
     monkeypatch.setattr(singular, "local_expansion", no_expansion)
-    code, report, _ = run_json(capsys, "--json", "construct", str(path),
-                               "--certify")
-    assert code == 0 and report["verified"]
-    cusps = {p for (f, p) in local_data if f == quartic}
-    assert len(cusps) == 6
-    assert set(local_data.values()) == {1}
-    assert len(memberships) == 4
-    assert sorted(partials) == [0, 1, 2, 3]
+    # ex61 takes the plain path; the bound-3000 jacobian is traced
+    for manifest in (EX61_MANIFEST, BOUND_3000_MANIFEST):
+        path = tmp_path / "fam.txt"
+        path.write_text(manifest)
+        quartic = geometry.family_from_manifest(manifest).quartic
+        for counter in (local_data, memberships, partials, conversions):
+            counter.clear()
+        code, report, _ = run_json(capsys, "--json", "construct", str(path),
+                                   "--certify")
+        assert code == 0 and report["verified"]
+        cusps = {p for (f, p) in local_data if f == quartic}
+        assert len(cusps) == 6
+        assert set(local_data.values()) == {1}
+        assert len(memberships) == 4
+        assert sorted(partials) == [0, 1, 2, 3]
+        # one divisor conversion: the jacobian basis's own views
+        assert len(conversions) == 1
 
 
 def test_barth_reads_local_data_not_expansion(capsys, monkeypatch):

@@ -301,6 +301,8 @@ def test_ideal_validation(ring2):
         Ideal([ring2.gen(0), other.gen(0)])
     with pytest.raises(ValueError):
         Ideal([])
+    with pytest.raises(ValueError, match="needs a nonzero generator"):
+        Ideal([ring2.zero()])
 
 
 def test_normal_form_keeps_the_exponent_cap():
