@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from cuspquartics.polyring import (
     GF,
+    QQ,
     DivisionError,
     ExponentOverflowError,
     ParseError,
@@ -319,3 +321,114 @@ def test_parse_format_roundtrip_sample(make_rng):
 
 def test_prime_field_reduction_sample(make_rng):
     support.check_prime_field_reduction(make_rng(6), 40)
+
+
+def _arithmetic_lines(order, domain):
+    """Seeded products, powers, exact quotients, substitutions, partial
+    derivatives, evaluations and parse/format round trips, printed, on 20
+    pairs of polynomials in three variables."""
+    rng = random.Random(f"ring:{order}:{domain.name}")
+    ring = PolyRing(("x0", "x1", "x2"), domain, order)
+    target = PolyRing(("y0", "y1"), domain, order)
+    other = ring.with_order("lex" if order != "lex" else "grevlex")
+
+    def draw(within, max_degree, max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            m = [0] * within.nvars
+            for _ in range(rng.randint(0, max_degree)):
+                m[rng.randrange(within.nvars)] += 1
+            terms[tuple(m)] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        return within.from_dict(terms)
+
+    lines = []
+    for _ in range(20):
+        f, g = draw(ring, 4, 4), draw(ring, 3, 3)
+        images = [draw(target, 2, 3) for _ in range(3)]
+        point = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(3)]
+        i = rng.randrange(3)
+        text = str(f)
+        assert ring.parse(text) == f
+        pieces = [text, str(g), str(f + g), str(f - g), str(f * g),
+                  str(f ** rng.randint(0, 3)), str(f.scale(Fraction(-5, 2))),
+                  str((f * g).exact_divide(g) if g else "-"),
+                  str(f.substitute(images)), str(f.partial_derivative(i)),
+                  str(f.evaluate(point)), str(other.convert(f)),
+                  str(f.leading_monomial() if f else "-"), str(f.degree())]
+        lines.append(" | ".join(pieces))
+    return lines
+
+
+def _digest(line):
+    return hashlib.sha256(line.encode()).hexdigest()[:12]
+
+
+# _digest of each line of _arithmetic_lines as the exponent-tuple ring printed
+# them, before polynomials stored packed monomials
+FROZEN = {
+    ('grevlex', 'QQ'): (
+        "95d753676cd1", "954a92980882", "4cbfcb7d0c9a", "8b70877adda4", "6faac1521187",
+        "4164c5d8a836", "331c33b5ebdc", "4400cfac3884", "fff1abac4f18", "52dd61124442",
+        "c97b1a1bc511", "4da323a92eb9", "1a1d0f168037", "c7f35b1caa43", "bbdbb98b9990",
+        "8ab80e6fa56e", "26c9e9b7f1e1", "467fb63dc5f7", "72e0abb394a8", "b0a08d53efb8",
+    ),
+    ('lex', 'QQ'): (
+        "2cc5f583dd2a", "eb2f8ebd3513", "564f69075d01", "a16b613f8f09", "b8e405e7485b",
+        "8d6c5ff7956d", "d7721e56a210", "4a334d4e3855", "072b17c0cf97", "4c1e29644d92",
+        "1a90a6e24f42", "79f9a03e31fa", "7f72a6a06a24", "c3998634d5cb", "10a6362c34fd",
+        "f6f3f3e0b9be", "44879ca7ed98", "7b23f3bf7897", "967bdd202d05", "c24cb96c9c46",
+    ),
+    ('grlex', 'QQ'): (
+        "f6ea675c8e51", "3483ff82bd8d", "941798e2b174", "033fb24e233b", "0ec44279e509",
+        "b6745ef0ac70", "b4ba9360cd59", "d080822568c1", "c536dfc8efcb", "b56d37ee324b",
+        "739d593e78cb", "9ce5b702f133", "fde061acf410", "039bf88a02ec", "9ea04eadf7ac",
+        "dc4b36cbd669", "02156d212e0a", "3a17fc209565", "1337bbf5bed1", "9116c9560ee0",
+    ),
+    ('grevlex', 'GF(7)'): (
+        "9191bbd454fd", "b63a6936dd9e", "eb77ba341a0b", "75167d1cf008", "646ab1dd189f",
+        "abfd274f0e05", "9bca6587e0e7", "465e6c3fd496", "fb18194b7191", "abb6d5819df6",
+        "0829cc1c286e", "f51a03d5102b", "c7e3bf93ecd7", "b371fbee282c", "55cb9038e873",
+        "7bd7a0d1ec87", "c821aee360bf", "d8a060bf8bd6", "2c9b570d159c", "4daabe7266e1",
+    ),
+    ('lex', 'GF(7)'): (
+        "caa4ed20d25c", "aad268e7ad2a", "3b7b0e2fe0d4", "e055c50b6713", "bc8f4c0655ec",
+        "61a4a79dfc1c", "74e8dcd56cb3", "ffd72745dccf", "1a64359001f3", "6da3ea006994",
+        "a7745fcd06e5", "553b6bde7693", "91ee86083f01", "d8ea61d44365", "58bc32b8cdf3",
+        "5a6415b79647", "0ea7b00e3253", "74f32cf5960b", "06d4d9395ec4", "01ec90da7780",
+    ),
+    ('grlex', 'GF(7)'): (
+        "c59a1837f04a", "e93d9179a69b", "8047be176e45", "ce36d435975d", "d89143982875",
+        "a340607dec92", "d16b990bfa08", "3c0c8ffa6d09", "8641fc4f739c", "a069bae75cf7",
+        "7b0b30e7c533", "f8058f42567d", "cd62452e81e2", "310c1d3cd26c", "53fff7fa2787",
+        "d00c233c745a", "64f9ee699182", "04cf30dae8e7", "c7f485285838", "cd48db9104ab",
+    ),
+    ('grevlex', 'GF(32003)'): (
+        "65e51fb5f7e1", "08fff2839647", "c27042d07f0f", "3187ce8f1b34", "7038407bf77d",
+        "1a2bc2a8e0da", "6cb8da1c001b", "cd9ee041d0b2", "6fab0e8f6833", "2d32c835afdf",
+        "a598f0b1dfcb", "cc693dff7b51", "09f257234a70", "5039bb179f56", "5221489a8299",
+        "5f1a105d2bfd", "22eba1269850", "d77bc0fc8f0d", "005fc0874d0c", "6db912a4165b",
+    ),
+    ('lex', 'GF(32003)'): (
+        "94bfc6b07781", "0f724b249f1b", "e9f16a9131e9", "80e01675bd73", "10f2b62639c0",
+        "cde817a5a9dc", "22e9f4b2fc53", "6bdf32924905", "b6422adc10c5", "9ce0768206f4",
+        "ec318eb005ea", "3bb538388d8e", "3eebdbc80e62", "cc28e629cf39", "513900309e06",
+        "25831ec5693e", "9caee926f806", "ad8ed5b7348a", "7f3635b1e8e3", "e6152bf54723",
+    ),
+    ('grlex', 'GF(32003)'): (
+        "ae19d7230903", "3c8cda2297cb", "be62ccaeb2cb", "455ea4367ba4", "edcaf1899472",
+        "e4ef7eb0319f", "d20fb0157bd2", "ef5c1e2f9849", "db0934572a66", "5c96b8936587",
+        "5877cc276942", "e61abb8994da", "a56b698f5822", "f3a52cd1f6e4", "60a7e230cbb4",
+        "845b1cc97434", "75a78c8258cd", "cab7a8759e35", "c1faab6c4b66", "8cce196db527",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "grlex"])
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)],
+                         ids=["QQ", "GF7", "GF32003"])
+def test_ring_arithmetic_matches_the_frozen_digests(order, domain):
+    lines = _arithmetic_lines(order, domain)
+    frozen = FROZEN[order, domain.name]
+    for i, (line, digest) in enumerate(zip(lines, frozen)):
+        assert _digest(line) == digest, (i, line)
+    assert len(lines) == len(frozen) == 20
