@@ -21,7 +21,7 @@ from fractions import Fraction
 # looked up in them at call time, so a subcommand executes only the
 # layers it uses
 from . import codes, geometry, groebner, linalg, singular
-from .polyring import ORDER_NAMES, PolyRing, PolynomialError, QQ
+from .polyring import EXPONENT_CAP, ORDER_NAMES, PolyRing, PolynomialError, QQ
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -498,6 +498,10 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_k(argv))
     if args.pmax < 1:
         parser.error(f"argument --pmax: must be at least 1, got {args.pmax}")
+    # the power q^k of a quadric has exponents up to 2k
+    if args.pmax > EXPONENT_CAP // 2:
+        parser.error(f"argument --pmax: must be at most {EXPONENT_CAP // 2}, "
+                     f"got {args.pmax}")
     # results may hold integers longer than the interpreter's int/str limit
     # (Python 3.10.7 and later); the parser caps input at DIGIT_CAP digits
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -8,14 +8,15 @@ runs away under lex); useless pairs are discarded with Buchberger's product
 and chain criteria in the Gebauer-Moeller formulation.
 
 One Buchberger loop and one reducer serve every caller and both coefficient
-domains.  They work on coefficient dicts keyed by packed monomials: inside
-the engine a monomial is one integer, whose order is the term order and
-whose sum is the product (``_Engine``); polynomials outside keep exponent
-tuples.  A pair is keyed by the packed lcm of its leads, so the criteria
-and the selection compare ints.  Over QQ the coefficients are integers,
-divisors are content-free, and a reduction step scales the work by a gcd
-cofactor instead of dividing, with content removed on the way; over GF(p)
-the coefficients are residues and divisors are monic, so no step scales.
+domains.  They work on coefficient dicts keyed by the ring's packed
+monomials, which polynomials store too (``PolyRing``), so no monomial is
+converted on the way in or out: a monomial is one integer, whose order is
+the term order and whose sum is the product.  A pair is keyed by the packed
+lcm of its leads, so the criteria and the selection compare ints.  Over QQ
+the coefficients are integers, divisors are content-free, and a reduction
+step scales the work by a gcd cofactor instead of dividing, with content
+removed on the way; over GF(p) the coefficients are residues and divisors
+are monic, so no step scales.
 Zero tests (membership, radical exponents, the S-pair audit) read that
 primitive remainder directly; ``normal_form`` divides it by the unit the
 reducer tracked, so remainders exposed to callers are exact.  A
@@ -40,20 +41,7 @@ import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polyring import (
-    EXPONENT_CAP,
-    GF,
-    QQ,
-    ExponentOverflowError,
-    PolyRing,
-    RingMismatchError,
-    monomial_div,
-    monomial_lcm,
-)
-
-# bits per exponent field: twice EXPONENT_CAP and a guard bit
-_W = (2 * EXPONENT_CAP).bit_length() + 1
-_FIELD = (1 << _W) - 1
+from .polyring import GF, QQ, Polynomial, PolyRing, RingMismatchError
 
 # the trace's prime, and the coefficient size from which it runs unaudited
 _TRACE_PRIME = 32003
@@ -150,11 +138,11 @@ def s_polynomial(f, g):
     if f.ring != g.ring:
         raise RingMismatchError("s_polynomial needs a common ring")
     ring = f.ring
-    lmf, lcf = f.terms[0]
-    lmg, lcg = g.terms[0]
-    lcm = monomial_lcm(lmf, lmg)
-    mf = ring.monomial(monomial_div(lcm, lmf), ring.domain.invert(lcf))
-    mg = ring.monomial(monomial_div(lcm, lmg), ring.domain.invert(lcg))
+    lmf, lcf = f.items[0]
+    lmg, lcg = g.items[0]
+    top = ring.peak((lmf, lmg))
+    mf = Polynomial(ring, ((top - lmf, ring.domain.invert(lcf)),))
+    mg = Polynomial(ring, ((top - lmg, ring.domain.invert(lcg)),))
     return mf * f - mg * g
 
 
@@ -164,64 +152,31 @@ def s_polynomial(f, g):
 
 class _Engine:
     """Coefficient-dict arithmetic of one ring: integers over QQ, residues
-    over GF(p).  A divisor is a view (lm, lc, items, peak) of a nonzero dict,
-    peak the exponentwise maximum of its monomials.
-
-    A monomial is one int: n W-bit exponent fields F, the top bit of each a
-    zero guard, under a key linear in the exponents: deg*2^(nW) - F for
-    grevlex, deg*2^(nW) + F_rev for grlex, F_rev for lex (F_rev holds the
-    fields in reverse order).  So the order is int comparison, a product is
-    a sum, and a divides b iff b's low part minus a's sets no guard bit.  A
-    field holds twice the exponent cap, so a sum of two capped monomials
-    fits; and the peak of all products of two sets is the sum of their
-    peaks, so one cap check covers a whole product or reduction step.
+    over GF(p), keyed by the ring's packed monomials.  A divisor is a view
+    (lm, lc, items, peak) of a nonzero dict, peak the exponentwise maximum
+    of its monomials, so one cap check covers a whole reduction step.
     """
 
-    __slots__ = ("ring", "modulus", "units", "low", "guard", "over")
+    __slots__ = ("ring", "modulus")
 
     def __init__(self, ring):
         self.ring = ring
         self.modulus = None if ring.domain == QQ else ring.domain.p
-        L = ring.nvars * _W
-        fields = [1 << i for i in range(0, L, _W)]
-        deg = 0 if ring.order == "lex" else 1 << L
-        keys = ([deg - f for f in fields] if ring.order == "grevlex"
-                else [deg + f for f in reversed(fields)])
-        self.units = [(k << L) + f for k, f in zip(keys, fields)]
-        self.low = (1 << L) - 1
-        self.guard = sum(fields) << (_W - 1)
-        # sets the guard bit of every field above EXPONENT_CAP
-        self.over = sum(fields) * ((1 << (_W - 1)) - 1 - EXPONENT_CAP)
-
-    def pack(self, m):
-        return sum(e * u for e, u in zip(m, self.units))
-
-    def unpack(self, m):
-        return tuple(m >> i & _FIELD for i in range(0, len(self.units) * _W, _W))
-
-    def divides(self, a, b):
-        return not ((b & self.low) - (a & self.low)) & self.guard
-
-    def peak(self, monomials):
-        return self.pack(map(max, zip(*map(self.unpack, monomials))))
-
-    def check_cap(self, m):
-        if ((m & self.low) + self.over) & self.guard:
-            raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
 
     def coefficients(self, f):
         """(p, scale): the coefficient dict p of scale * f, integral over QQ
         (residues are ints, so scale is 1 over GF(p))."""
-        scale = lcm(*(c.denominator for _, c in f.terms))
-        return {self.pack(m): c.numerator * (scale // c.denominator)
-                for m, c in f.terms}, scale
+        scale = lcm(*(c.denominator for _, c in f.items))
+        return {m: c.numerator * (scale // c.denominator)
+                for m, c in f.items}, scale
 
     def polynomial(self, p, unit):
-        """The polynomial p / unit, exact in the ring's domain."""
-        dom = self.ring.domain
-        inv = dom.invert(dom.convert(unit))
-        return self.ring.from_dict({self.unpack(m): dom.convert(c) * inv
-                                    for m, c in p.items()})
+        """The polynomial p / unit, exact in the ring's domain; p is nonzero
+        at every monomial and in descending order, as ``reduce`` returns it."""
+        convert = self.ring.domain.convert
+        inv = self.ring.domain.invert(convert(unit))
+        return Polynomial(self.ring, tuple((m, convert(c * inv))
+                                           for m, c in p.items()))
 
     def divisors(self, polys):
         """Divisor views of the nonzero polynomials, in the given order."""
@@ -238,13 +193,13 @@ class _Engine:
             g = gcd(*p.values())
             if g > 1:
                 p = {m: c // g for m, c in p.items()}
-        return lm, p[lm], tuple(p.items()), self.peak(p)
+        return lm, p[lm], tuple(p.items()), self.ring.peak(p)
 
     def combine(self, parts):
         """The sum of c * m * items over parts (m, c, items, peak)."""
         out = {}
         for m, c, items, peak in parts:
-            self.check_cap(m + peak)
+            self.ring.check_cap(m + peak)
             for n, k in items:
                 out[m + n] = out.get(m + n, 0) + c * k
         if self.modulus:
@@ -261,7 +216,7 @@ class _Engine:
                              (top - lmj, -(ci // g), fj, peakj)))
 
     def mul(self, p, q):
-        items, peak = q.items(), self.peak(q)
+        items, peak = q.items(), self.ring.peak(q)
         return self.combine((m, c, items, peak) for m, c in p.items())
 
     def reduce(self, p, divisors):
@@ -273,8 +228,8 @@ class _Engine:
         exact remainder, for a positive rational unit; over QQ r is
         content-free, over GF(p) unit is 1.
         """
-        modulus = self.modulus
-        low, guard = self.low, self.guard
+        modulus, ring = self.modulus, self.ring
+        low, guard = ring.low, ring.guard
         work = dict(p)
         remainder = {}
         heap = [-m for m in work]
@@ -294,7 +249,7 @@ class _Engine:
             else:
                 remainder[lm] = work.pop(lm)
                 continue
-            self.check_cap(q + dpeak)
+            ring.check_cap(q + dpeak)
             g = gcd(c, dlc)
             a, b = c // g, dlc // g
             if b < 0:
@@ -370,20 +325,20 @@ def _update_pairs(engine, divisors, pairs, t):
     (i, j) to the packed lcm L of its leads, which is also its place in the
     term order.
     """
-    lmf = divisors[t][0]
+    ring, lmf = engine.ring, divisors[t][0]
     kept = {}
     for (i, j), lij in pairs.items():
-        if (not engine.divides(lmf, lij)
-                or lij == engine.peak((divisors[i][0], lmf))
-                or lij == engine.peak((divisors[j][0], lmf))):
+        if (not ring.divides(lmf, lij)
+                or lij == ring.peak((divisors[i][0], lmf))
+                or lij == ring.peak((divisors[j][0], lmf))):
             kept[i, j] = lij
     by_lcm = {}
     for i in range(t):
-        by_lcm.setdefault(engine.peak((divisors[i][0], lmf)), []).append(i)
+        by_lcm.setdefault(ring.peak((divisors[i][0], lmf)), []).append(i)
     # the term order extends divisibility, so divisors of L come first
     minimal = []
     for L in sorted(by_lcm):
-        if not any(engine.divides(M, L) for M in minimal):
+        if not any(ring.divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
         group = by_lcm[L]
@@ -486,7 +441,7 @@ def _interreduce(engine, divisors):
     """
     minimal = []
     for d in sorted(divisors, key=lambda d: d[0]):
-        if not any(engine.divides(e[0], d[0]) for e in minimal):
+        if not any(engine.ring.divides(e[0], d[0]) for e in minimal):
             minimal.append(d)
     reduced = []
     for i, (lm, _, items, _) in enumerate(minimal):

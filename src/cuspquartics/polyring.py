@@ -5,9 +5,12 @@ the rationals (arbitrary-precision ``Fraction``) or over a prime field.
 Polynomials are immutable; every operation returns a new canonical value,
 so equality is structural and hashing is safe.
 
-Monomials are plain exponent tuples.  A ring fixes the variable names, the
-coefficient domain and the term order; polynomials of different rings never
-mix silently.
+A ring fixes the variable names, the coefficient domain and the term order;
+polynomials of different rings never mix silently.  The ring packs each
+monomial into one int whose order is the term order (``PolyRing``), and
+polynomials store packed monomials; exponent tuples come in, checked,
+through ``from_dict``, ``monomial``, ``key`` and ``coefficient``, and go out
+through ``terms`` and ``leading_monomial``.
 
 A coefficient domain is ``zero``, ``one``, ``convert`` and ``invert``.
 Arithmetic uses the plain operators; ``convert`` is the one normaliser, which
@@ -134,49 +137,30 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
-# monomials and term orders
-# ---------------------------------------------------------------------------
-
-def monomial_mul(a, b):
-    m = tuple(x + y for x, y in zip(a, b))
-    if any(e > EXPONENT_CAP for e in m):
-        raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
-    return m
-
-
-def monomial_div(a, b):
-    """Quotient a/b as a monomial, or None if b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def order_key(order):
-    """Sort key for an order name; larger key = larger monomial."""
-    if order == "lex":
-        return lambda m: m
-    if order == "grlex":
-        return lambda m: (sum(m), m)
-    if order == "grevlex":
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-    raise ValueError(f"unknown term order {order!r}; expected one of {ORDER_NAMES}")
-
-
-# ---------------------------------------------------------------------------
 # ring and polynomial
 # ---------------------------------------------------------------------------
 
-class PolyRing:
-    """A polynomial ring: variable names, coefficient domain, term order."""
+# bits per exponent field: twice EXPONENT_CAP and a guard bit
+_W = (2 * EXPONENT_CAP).bit_length() + 1
+_FIELD = (1 << _W) - 1
 
-    __slots__ = ("variables", "domain", "order", "key", "_var_index")
+
+class PolyRing:
+    """A polynomial ring: variable names, coefficient domain, term order.
+
+    The ring packs each monomial into one int: n W-bit exponent fields F,
+    the top bit of each a zero guard, under a key linear in the exponents:
+    deg*2^(nW) - F for grevlex, deg*2^(nW) + F_rev for grlex, F_rev for lex
+    (F_rev holds the fields in reverse order).  So the term order is int
+    comparison, a product is a sum, and a divides b iff b's low part minus
+    a's sets no guard bit.  A field holds twice the exponent cap, so a sum
+    of two capped monomials fits; and the peak (exponentwise maximum) of all
+    products of two sets is the sum of their peaks, so one cap check covers
+    a whole product.
+    """
+
+    __slots__ = ("variables", "domain", "order", "units", "low", "guard",
+                 "over", "_var_index")
 
     def __init__(self, variables, domain=QQ, order="grevlex"):
         variables = tuple(variables)
@@ -189,8 +173,17 @@ class PolyRing:
         self.variables = variables
         self.domain = domain
         self.order = order
-        self.key = order_key(order)
         self._var_index = {v: i for i, v in enumerate(variables)}
+        L = len(variables) * _W
+        fields = [1 << i for i in range(0, L, _W)]
+        deg = 0 if order == "lex" else 1 << L
+        keys = ([deg - f for f in fields] if order == "grevlex"
+                else [deg + f for f in reversed(fields)])
+        self.units = [(k << L) + f for k, f in zip(keys, fields)]
+        self.low = (1 << L) - 1
+        self.guard = sum(fields) << (_W - 1)
+        # sets the guard bit of every field above EXPONENT_CAP
+        self.over = sum(fields) * ((1 << (_W - 1)) - 1 - EXPONENT_CAP)
 
     @property
     def nvars(self):
@@ -208,6 +201,40 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({', '.join(self.variables)}; {self.domain!r}; {self.order})"
 
+    # -- packed monomials ----------------------------------------------------
+
+    def key(self, exps):
+        """The packed monomial of an exponent tuple, checked; packed
+        monomials compare in the term order, so this is also a sort key."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("exponent vector has wrong length")
+        if min(exps) < 0:
+            raise ValueError("negative exponent")
+        if max(exps) > EXPONENT_CAP:
+            raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
+        m = self.pack(exps)
+        if type(m) is not int:
+            raise TypeError("exponents must be integers")
+        return m
+
+    def pack(self, exps):
+        """The packed monomial of valid exponents, unchecked."""
+        return sum(e * u for e, u in zip(exps, self.units))
+
+    def unpack(self, m):
+        return tuple(m >> i & _FIELD for i in range(0, self.nvars * _W, _W))
+
+    def divides(self, a, b):
+        return not ((b & self.low) - (a & self.low)) & self.guard
+
+    def peak(self, monomials):
+        return self.pack(map(max, zip(*map(self.unpack, monomials))))
+
+    def check_cap(self, m):
+        if ((m & self.low) + self.over) & self.guard:
+            raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
+
     # -- constructors -------------------------------------------------------
 
     def zero(self):
@@ -220,11 +247,10 @@ class PolyRing:
         c = self.domain.convert(c)
         if not c:
             return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return Polynomial(self, ((0, c),))
 
     def gen(self, i):
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((exps, self.domain.one),))
+        return Polynomial(self, ((self.units[i], self.domain.one),))
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -233,27 +259,26 @@ class PolyRing:
         return self.gen(self._var_index[name])
 
     def monomial(self, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
-        if any(e > EXPONENT_CAP for e in exps):
-            raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
+        m = self.key(exps)
         c = self.domain.convert(coeff)
         if not c:
             return self.zero()
-        return Polynomial(self, ((exps, c),))
+        return Polynomial(self, ((m, c),))
 
     def from_dict(self, coeffs):
-        """Canonical polynomial from {exponent tuple: raw coefficient}."""
+        """Canonical polynomial from {exponent tuple: raw coefficient}; each
+        tuple is checked as ``key`` checks it."""
+        return self.from_packed({self.key(exps): c for exps, c in coeffs.items()})
+
+    def from_packed(self, coeffs):
+        """Canonical polynomial from {packed monomial: raw coefficient}."""
         convert = self.domain.convert
         items = []
-        for exps, c in coeffs.items():
+        for m, c in coeffs.items():
             c = convert(c)
             if c:
-                items.append((tuple(exps), c))
-        items.sort(key=lambda t: self.key(t[0]), reverse=True)
+                items.append((m, c))
+        items.sort(reverse=True)
         return Polynomial(self, tuple(items))
 
     def with_order(self, order):
@@ -276,60 +301,69 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical sparse polynomial.
 
-    ``terms`` is a tuple of (exponent tuple, coefficient) pairs, strictly
-    descending in the ring's term order, with no zero coefficients.
+    ``items`` is a tuple of (packed monomial, coefficient) pairs, strictly
+    descending (so in the ring's term order), with no zero coefficients.
+    ``terms`` is the same with exponent tuples, built on first use.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "items", "_terms")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, items):
         self.ring = ring
-        self.terms = terms
+        self.items = items
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            unpack = self.ring.unpack
+            self._terms = tuple((unpack(m), c) for m, c in self.items)
+        return self._terms
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.items
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.items)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.items:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
-        if not self.terms:
+        if not self.items:
             return True
         d = sum(self.terms[0][0])
         return all(sum(m) == d for m, _ in self.terms)
 
     def leading_monomial(self):
-        if not self.terms:
+        if not self.items:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return self.ring.unpack(self.items[0][0])
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self.items:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
+        return self.items[0][1]
 
     def coefficient(self, exps):
-        exps = tuple(exps)
-        for m, c in self.terms:
-            if m == exps:
+        m = self.ring.key(exps)
+        for n, c in self.items:
+            if n == m:
                 return c
         return self.ring.domain.zero
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.items == other.items)
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self.items))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -344,16 +378,16 @@ class Polynomial:
             other = self.ring.constant(other)
         self._check_ring(other)
         zero = self.ring.domain.zero
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        acc = dict(self.items)
+        for m, c in other.items:
             acc[m] = acc.get(m, zero) + c
-        return self.ring.from_dict(acc)
+        return self.ring.from_packed(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
         convert = self.ring.domain.convert
-        return Polynomial(self.ring, tuple((m, convert(-c)) for m, c in self.terms))
+        return Polynomial(self.ring, tuple((m, convert(-c)) for m, c in self.items))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -368,19 +402,21 @@ class Polynomial:
         c = convert(c)
         if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((m, convert(k * c)) for m, k in self.terms))
+        return Polynomial(self.ring, tuple((m, convert(k * c)) for m, k in self.items))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        zero = self.ring.domain.zero
+        ring, zero = self.ring, self.ring.domain.zero
+        ring.check_cap(ring.peak(m for m, _ in self.items)
+                       + ring.peak(m for m, _ in other.items))
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = monomial_mul(m1, m2)
+        for m1, c1 in self.items:
+            for m2, c2 in other.items:
+                m = m1 + m2
                 acc[m] = acc.get(m, zero) + c1 * c2
-        return self.ring.from_dict(acc)
+        return ring.from_packed(acc)
 
     __rmul__ = __mul__
 
@@ -402,37 +438,41 @@ class Polynomial:
         self._check_ring(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        convert = self.ring.domain.convert
-        key = self.ring.key
-        glm, glc = g.terms[0]
-        glc_inv = self.ring.domain.invert(glc)
-        rem = dict(self.terms)
+        ring = self.ring
+        convert = ring.domain.convert
+        glm, glc = g.items[0]
+        glc_inv = ring.domain.invert(glc)
+        gpeak = ring.peak(m for m, _ in g.items)
+        rem = dict(self.items)
         quot = {}
         while rem:
-            lm = max(rem, key=key)
-            q = monomial_div(lm, glm)
-            if q is None:
+            lm = max(rem)
+            if not ring.divides(glm, lm):
                 raise DivisionError("no exact quotient (leading term not divisible)")
+            q = lm - glm
+            ring.check_cap(q + gpeak)
             qc = convert(rem[lm] * glc_inv)
             quot[q] = qc
-            for m, c in g.terms:
-                mm = monomial_mul(q, m)
+            for m, c in g.items:
+                mm = q + m
                 s = convert(rem.get(mm, 0) - qc * c)
                 if s:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return self.ring.from_dict(quot)
+        return ring.from_packed(quot)
 
     # -- calculus and evaluation ----------------------------------------------
 
     def partial_derivative(self, var):
         """Formal partial derivative; var is an index or a variable name."""
-        i = self.ring._var_index[var] if isinstance(var, str) else var
-        if not (0 <= i < self.ring.nvars):
+        ring = self.ring
+        i = ring._var_index[var] if isinstance(var, str) else var
+        if not (0 <= i < ring.nvars):
             raise ValueError(f"variable index {i} out of range")
-        return self.ring.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
-                                    for m, c in self.terms if m[i]})
+        unit, shift = ring.units[i], i * _W
+        return ring.from_packed({m - unit: c * (m >> shift & _FIELD)
+                                 for m, c in self.items if m >> shift & _FIELD})
 
     def gradient(self):
         return tuple(self.partial_derivative(i) for i in range(self.ring.nvars))
@@ -469,9 +509,9 @@ class Polynomial:
             for i, e in enumerate(m):
                 if e:
                     piece = piece * power(i, e)
-            for mono, d in piece.terms:
+            for mono, d in piece.items:
                 out[mono] = out.get(mono, zero) + c * d
-        return target.from_dict(out)
+        return target.from_packed(out)
 
     def evaluate(self, point):
         """Exact value at a point (a sequence of domain scalars)."""
@@ -634,10 +674,10 @@ class _Parser:
         if self.peek()[0] in ("+", "-"):
             negate = self.advance()[0] == "-"
         while True:
-            for m, c in self.term().terms:
+            for m, c in self.term().items:
                 acc[m] = acc.get(m, zero) + (-c if negate else c)
             if self.peek()[0] not in ("+", "-"):
-                return self.ring.from_dict(acc)
+                return self.ring.from_packed(acc)
             negate = self.advance()[0] == "-"
 
     def term(self):

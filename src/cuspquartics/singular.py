@@ -70,30 +70,6 @@ def _chart(f, point, chart):
     return chart if projective else None
 
 
-def local_expansion(f, point, chart=None):
-    """Dehomogenize f in a chart and translate the point to the origin.
-
-    Returns (chart index, {degree: homogeneous piece}) with pieces living in
-    the (n-1)-variable affine chart ring.  For affine input (plain coordinate
-    tuple) the chart is None and only the translation happens.
-    """
-    chart = _chart(f, point, chart)
-    if chart is None:
-        aff = f.ring
-        images = [aff.gen(i) + aff.constant(QQ.convert(c))
-                  for i, c in enumerate(point)]
-    else:
-        coords = point.coords
-        aff = affine_chart_ring(f.ring.nvars - 1)
-        ys = iter(aff.gens())
-        images = [aff.one() if i == chart else next(ys) + aff.constant(c / coords[chart])
-                  for i, c in enumerate(coords)]
-    pieces = {}
-    for m, c in f.substitute(images).terms:
-        pieces.setdefault(sum(m), {})[m] = c
-    return chart, {d: aff.from_dict(terms) for d, terms in pieces.items()}
-
-
 def _drop(m, i):
     return m[:i] + (m[i] - 1,) + m[i + 1:]
 
@@ -137,8 +113,10 @@ class LocalData:
     integer representative x = lam*p, and f as F = den*f with integer
     coefficients.  For f of degree d, d^k f(p) = d^k F(x) / (den*lam^(d-k)):
     zero tests, ranks and kernels read the integers at x.  The chart pieces
-    f(p), grad f(p).y, (1/2) y^T H(p) y, ... are the ones ``local_expansion``
-    finds by substitution.  Affine input (a coordinate tuple): lam = 1.
+    f(p), grad f(p).y, (1/2) y^T H(p) y, ... are the ones that substituting
+    the chart and the translation into f gives (``local_expansion`` in the
+    tests does that, as the oracle).  Affine input (a coordinate tuple):
+    lam = 1.
     """
 
     def __init__(self, f, point, chart=None):

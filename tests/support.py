@@ -5,7 +5,11 @@ and raises on the first violation; the acceptance suite runs them at the
 contract counts, the unit suites reuse them at smaller sizes.  The exact
 helpers at the end (``in_span``, ``split_rank2_form``, ``mat_mul``,
 ``constant_term`` and the JSON views of certificates and codes) serve only
-the tests.
+the tests.  So do the references the packed code is checked against: the
+exponent-tuple term orders and monomial arithmetic (``order_key``,
+``monomial_mul``, ``monomial_div``, ``monomial_lcm``), and
+``local_expansion``, the substitution route to the local pieces that
+``singular.LocalData`` reads from derivatives.
 """
 
 from fractions import Fraction
@@ -15,8 +19,78 @@ from cuspquartics import linalg
 from cuspquartics.codes import signed_word
 from cuspquartics.geometry import ProjectivePoint, fiber_change
 from cuspquartics.groebner import Ideal, buchberger
-from cuspquartics.polyring import GF, QQ, Polynomial, PolyRing, order_key
-from cuspquartics.singular import SingularityKind, _drop, quadratic_form_matrix
+from cuspquartics.polyring import (
+    EXPONENT_CAP,
+    GF,
+    ORDER_NAMES,
+    QQ,
+    ExponentOverflowError,
+    Polynomial,
+    PolyRing,
+)
+from cuspquartics.singular import (
+    SingularityKind,
+    _chart,
+    _drop,
+    affine_chart_ring,
+    quadratic_form_matrix,
+)
+
+
+def monomial_mul(a, b):
+    m = tuple(x + y for x, y in zip(a, b))
+    if any(e > EXPONENT_CAP for e in m):
+        raise ExponentOverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
+    return m
+
+
+def monomial_div(a, b):
+    """Quotient a/b as a monomial, or None if b does not divide a."""
+    q = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        q.append(x - y)
+    return tuple(q)
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def order_key(order):
+    """Sort key for an order name; larger key = larger monomial."""
+    if order == "lex":
+        return lambda m: m
+    if order == "grlex":
+        return lambda m: (sum(m), m)
+    if order == "grevlex":
+        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
+    raise ValueError(f"unknown term order {order!r}; expected one of {ORDER_NAMES}")
+
+
+def local_expansion(f, point, chart=None):
+    """Dehomogenize f in a chart and translate the point to the origin.
+
+    Returns (chart index, {degree: homogeneous piece}) with pieces living in
+    the (n-1)-variable affine chart ring.  For affine input (plain coordinate
+    tuple) the chart is None and only the translation happens.
+    """
+    chart = _chart(f, point, chart)
+    if chart is None:
+        aff = f.ring
+        images = [aff.gen(i) + aff.constant(QQ.convert(c))
+                  for i, c in enumerate(point)]
+    else:
+        coords = point.coords
+        aff = affine_chart_ring(f.ring.nvars - 1)
+        ys = iter(aff.gens())
+        images = [aff.one() if i == chart else next(ys) + aff.constant(c / coords[chart])
+                  for i, c in enumerate(coords)]
+    pieces = {}
+    for m, c in f.substitute(images).terms:
+        pieces.setdefault(sum(m), {})[m] = c
+    return chart, {d: aff.from_dict(terms) for d, terms in pieces.items()}
 
 
 def random_monomial(rng, nvars, max_degree):
@@ -61,7 +135,7 @@ def check_ring_axioms(rng, cases):
 
 def check_order_axioms(rng, cases):
     for order in ("grevlex", "lex", "grlex"):
-        key = order_key(order)
+        key = PolyRing(("x0", "x1", "x2", "x3"), QQ, order).key
         unit = (0, 0, 0, 0)
         for _ in range(cases):
             a = random_monomial(rng, 4, 5)

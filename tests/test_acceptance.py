@@ -38,12 +38,12 @@ from cuspquartics.singular import (
     cusp_divisibility_certificate,
     is_singular_point,
     jacobian_ideal,
-    local_expansion,
     quadratic_form_matrix,
     transversal_at,
 )
 
 import support
+from support import local_expansion
 
 
 def test_criterion_1_determinantal_identity():

@@ -318,6 +318,30 @@ def test_pmax_below_one_exit2(capsys, tmp_path, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "{manifest}", "--certify", "--pmax", "32769"),
+    ("verify-example", "ex61", "--pmax", "100000"),
+])
+def test_pmax_above_half_the_exponent_cap_exit2(capsys, tmp_path, argv):
+    # q^k of a quadric q has exponents up to 2k, so k = 32769 passes the cap
+    path = tmp_path / "fam.txt"
+    path.write_text(EX61_MANIFEST)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(manifest=path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --pmax: must be at most 32768" in captured.err
+    assert "exponent exceeds cap" not in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_pmax_at_half_the_exponent_cap_runs(capsys):
+    code, report, _ = run_json(capsys, "--json", "--pmax", "32768",
+                               "verify-example", "ex61")
+    assert code == 0 and report["verified"]
+
+
 def test_verify_example_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "verify-example", "ex61")
     assert code == 0
@@ -428,14 +452,10 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
         conversions.append(polys)
         return original_divisors(self, polys)
 
-    def no_expansion(*args, **kwargs):
-        raise AssertionError("local_expansion on a CLI path")
-
     monkeypatch.setattr(singular.LocalData, "__init__", counting_init)
     monkeypatch.setattr(groebner, "radical_membership", counting_membership)
     monkeypatch.setattr(Polynomial, "partial_derivative", counting_partial)
     monkeypatch.setattr(groebner._Engine, "divisors", counting_divisors)
-    monkeypatch.setattr(singular, "local_expansion", no_expansion)
     # ex61 takes the plain path; the bound-3000 jacobian is traced
     for manifest in (EX61_MANIFEST, BOUND_3000_MANIFEST):
         path = tmp_path / "fam.txt"
@@ -455,13 +475,7 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
         assert len(conversions) == 1
 
 
-def test_barth_reads_local_data_not_expansion(capsys, monkeypatch):
-    from cuspquartics import singular
-
-    def no_expansion(*args, **kwargs):
-        raise AssertionError("local_expansion on a CLI path")
-
-    monkeypatch.setattr(singular, "local_expansion", no_expansion)
+def test_barth_reads_local_data_not_expansion(capsys):
     code, report, _ = run_json(capsys, "--json", "verify-example", "barth",
                                "--k", "-7/5")
     assert code == 0

@@ -251,6 +251,19 @@ def test_exponent_cap(ring, gens):
         big * big
 
 
+def test_from_dict_checks_exponent_tuples():
+    ring = PolyRing(("x0", "x1"))
+    with pytest.raises(ValueError, match="negative exponent"):
+        ring.from_dict({(-1, 0): 1})
+    with pytest.raises(ValueError, match="exponent vector has wrong length"):
+        ring.from_dict({(1,): 1})
+    with pytest.raises(ExponentOverflowError, match="exponent exceeds cap 65536"):
+        ring.from_dict({(65537, 0): 1})
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        ring.from_dict({(1.5, 0): 1})
+    assert str(ring.from_dict({(65536, 0): 1})) == "x0^65536"
+
+
 def test_order_change_is_explicit(ring):
     f = ring.parse("x0 + x1^2")
     lex_ring = ring.with_order("lex")

@@ -28,13 +28,12 @@ from cuspquartics.singular import (
     forms_through_points,
     is_singular_point,
     jacobian_ideal,
-    local_expansion,
     quadratic_form_matrix,
     singular_locus_contained_in,
     singular_set_certificate,
     transversal_at,
 )
-from support import certificate_json, in_span, split_rank2_form
+from support import certificate_json, in_span, local_expansion, split_rank2_form
 
 
 @pytest.fixture
