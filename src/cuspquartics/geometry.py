@@ -281,10 +281,10 @@ def binary_form_roots(form):
     ring = form.ring
     if ring.nvars != 2 or not form.is_homogeneous():
         raise ValueError("expected a homogeneous binary form")
-    coeffs = [Fraction(0)] * (form.degree() + 1)
-    for (e0, e1), c in form.terms:
-        coeffs[e0] = c
-    c = list(linalg.primitive_integer_vector(coeffs))
+    content = gcd(*(k for _, k in form.items))
+    c = [0] * (form.degree() + 1)
+    for m, k in form.items:
+        c[ring.unpack(m)[0]] = k // content
     roots = []
     if c[-1] == 0:
         roots.append((Fraction(1), Fraction(0)))  # the point at t1 = 0

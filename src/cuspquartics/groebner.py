@@ -8,15 +8,15 @@ runs away under lex); useless pairs are discarded with Buchberger's product
 and chain criteria in the Gebauer-Moeller formulation.
 
 One Buchberger loop and one reducer serve every caller and both coefficient
-domains.  They work on coefficient dicts keyed by the ring's packed
-monomials, which polynomials store too (``PolyRing``), so no monomial is
-converted on the way in or out: a monomial is one integer, whose order is
-the term order and whose sum is the product.  A pair is keyed by the packed
-lcm of its leads, so the criteria and the selection compare ints.  Over QQ
-the coefficients are integers, divisors are content-free, and a reduction
+domains.  They work on dicts of a polynomial's stored ``items``: packed
+monomials and ints, the integer numerators over QQ and the residues over
+GF(p) (``Polynomial``), so nothing is converted on the way in, and
+``PolyRing.make`` divides by the denominator on the way out.  A monomial is
+one integer, whose order is the term order and whose sum is the product.  A
+pair is keyed by the packed lcm of its leads, so the criteria and the
+selection compare ints.  Over QQ divisors are content-free, and a reduction
 step scales the work by a gcd cofactor instead of dividing, with content
-removed on the way; over GF(p) the coefficients are residues and divisors
-are monic, so no step scales.
+removed on the way; over GF(p) divisors are monic, so no step scales.
 Zero tests (membership, radical exponents, the S-pair audit) read that
 primitive remainder directly; ``normal_form`` divides it by the unit the
 reducer tracked, so remainders exposed to callers are exact.  A
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .polyring import GF, QQ, Polynomial, PolyRing, RingMismatchError
+from .polyring import GF, PolyRing, RingMismatchError
 
 # the trace's prime, and the coefficient size from which it runs unaudited
 _TRACE_PRIME = 32003
@@ -137,12 +137,11 @@ def s_polynomial(f, g):
         raise ValueError("s_polynomial needs nonzero inputs")
     if f.ring != g.ring:
         raise RingMismatchError("s_polynomial needs a common ring")
-    ring = f.ring
-    lmf, lcf = f.items[0]
-    lmg, lcg = g.items[0]
+    ring, invert = f.ring, f.ring.domain.invert
+    lmf, lmg = f.items[0][0], g.items[0][0]
     top = ring.peak((lmf, lmg))
-    mf = Polynomial(ring, ((top - lmf, ring.domain.invert(lcf)),))
-    mg = Polynomial(ring, ((top - lmg, ring.domain.invert(lcg)),))
+    mf = ring.from_packed({top - lmf: invert(f.leading_coefficient())})
+    mg = ring.from_packed({top - lmg: invert(g.leading_coefficient())})
     return mf * f - mg * g
 
 
@@ -151,36 +150,22 @@ def s_polynomial(f, g):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Coefficient-dict arithmetic of one ring: integers over QQ, residues
-    over GF(p), keyed by the ring's packed monomials.  A divisor is a view
-    (lm, lc, items, peak) of a nonzero dict, peak the exponentwise maximum
-    of its monomials, so one cap check covers a whole reduction step.
+    """Coefficient-dict arithmetic of one ring on {packed monomial: int}
+    dicts: a polynomial's ``dict(f.items)`` is its denominator times f.  A
+    divisor is a view (lm, lc, items, peak) of a nonzero dict, peak the
+    exponentwise maximum of its monomials, so one cap check covers a whole
+    reduction step.
     """
 
     __slots__ = ("ring", "modulus")
 
     def __init__(self, ring):
         self.ring = ring
-        self.modulus = None if ring.domain == QQ else ring.domain.p
-
-    def coefficients(self, f):
-        """(p, scale): the coefficient dict p of scale * f, integral over QQ
-        (residues are ints, so scale is 1 over GF(p))."""
-        scale = lcm(*(c.denominator for _, c in f.items))
-        return {m: c.numerator * (scale // c.denominator)
-                for m, c in f.items}, scale
-
-    def polynomial(self, p, unit):
-        """The polynomial p / unit, exact in the ring's domain; p is nonzero
-        at every monomial and in descending order, as ``reduce`` returns it."""
-        convert = self.ring.domain.convert
-        inv = self.ring.domain.invert(convert(unit))
-        return Polynomial(self.ring, tuple((m, convert(c * inv))
-                                           for m, c in p.items()))
+        self.modulus = ring.modulus
 
     def divisors(self, polys):
         """Divisor views of the nonzero polynomials, in the given order."""
-        return [self.divisor(self.coefficients(f)[0]) for f in polys if f]
+        return [self.divisor(dict(f.items)) for f in polys if f]
 
     def divisor(self, p):
         """View of a nonzero dict as a divisor: content-free over QQ, monic
@@ -308,9 +293,9 @@ def normal_form(g, basis):
     divisors = _divisors(engine, g, basis)
     if not divisors:
         return g
-    p, scale = engine.coefficients(g)
-    r, unit = engine.reduce(p, divisors)
-    return engine.polynomial(r, unit * scale)
+    r, unit = engine.reduce(dict(g.items), divisors)
+    return g.ring.make({m: c * unit.denominator for m, c in r.items()},
+                       unit.numerator * g.den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +387,7 @@ def buchberger(ideal, order=None, audit=False):
     else:
         gens = list(ideal.generators)
     engine = _Engine(ring)
-    gens = [engine.coefficients(g)[0] for g in gens]
+    gens = [dict(g.items) for g in gens]
     top = max((abs(c) for g in gens for c in g.values()), default=0)
     if not engine.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS):
         basis = _traced(engine, gens)
@@ -446,7 +431,7 @@ def _interreduce(engine, divisors):
     reduced = []
     for i, (lm, _, items, _) in enumerate(minimal):
         r, _ = engine.reduce(dict(items), minimal[:i] + minimal[i + 1:])
-        reduced.append(engine.polynomial(r, r[lm]))
+        reduced.append(engine.ring.make(r, r[lm]))
     return reduced
 
 
@@ -466,7 +451,7 @@ def ideal_membership(g, ideal):
     if not basis.polys:
         return g.is_zero()
     engine = _Engine(g.ring)
-    r, _ = engine.reduce(engine.coefficients(g)[0], _divisors(engine, g, basis))
+    r, _ = engine.reduce(dict(g.items), _divisors(engine, g, basis))
     return not r
 
 
@@ -483,7 +468,7 @@ def radical_membership(g, ideal, p_max):
         return 1 if g.is_zero() else None
     engine = _Engine(g.ring)
     divisors = _divisors(engine, g, basis)
-    f = engine.coefficients(g)[0]
+    f = dict(g.items)
     r, _ = engine.reduce(f, divisors)
     p = 1
     while r and p < p_max:

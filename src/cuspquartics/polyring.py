@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 The whole toolkit runs on one currency: canonical sparse polynomials over
-the rationals (arbitrary-precision ``Fraction``) or over a prime field.
-Polynomials are immutable; every operation returns a new canonical value,
-so equality is structural and hashing is safe.
+QQ or GF(p).  Polynomials are immutable; every operation returns a new
+canonical value, so equality is structural and hashing is safe.
 
 A ring fixes the variable names, the coefficient domain and the term order;
 polynomials of different rings never mix silently.  The ring packs each
@@ -12,15 +11,18 @@ polynomials store packed monomials; exponent tuples come in, checked,
 through ``from_dict``, ``monomial``, ``key`` and ``coefficient``, and go out
 through ``terms`` and ``leading_monomial``.
 
-A coefficient domain is ``zero``, ``one``, ``convert`` and ``invert``.
-Arithmetic uses the plain operators; ``convert`` is the one normaliser, which
-makes a raw sum or product a ``Fraction`` or a residue in [0, p).
+Coefficients are stored as ints, integer numerators over one common
+denominator over QQ (as FLINT's ``fmpq_poly``) and residues over GF(p);
+``PolyRing.make`` is the one normaliser and ``PolyRing.sum`` the one sum.
+A coefficient domain (``zero``, ``one``, ``convert``, ``invert``) handles
+single coefficients: raw input comes in through ``convert``, and ``terms``
+and ``coefficient`` give out a ``Fraction`` or a residue in [0, p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 
 EXPONENT_CAP = 1 << 16
 # the longest integer literal the parser reads (the interpreter's default
@@ -79,7 +81,7 @@ class RationalField:
     def invert(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return 1 / RationalField.convert(a)
 
     def __repr__(self):
         return "QQ"
@@ -159,8 +161,8 @@ class PolyRing:
     a whole product.
     """
 
-    __slots__ = ("variables", "domain", "order", "units", "low", "guard",
-                 "over", "_var_index")
+    __slots__ = ("variables", "domain", "order", "modulus", "units", "low",
+                 "guard", "over", "_var_index")
 
     def __init__(self, variables, domain=QQ, order="grevlex"):
         variables = tuple(variables)
@@ -173,6 +175,8 @@ class PolyRing:
         self.variables = variables
         self.domain = domain
         self.order = order
+        # p over GF(p); None over QQ, which is also pow()'s "no modulus"
+        self.modulus = domain.p if isinstance(domain, PrimeField) else None
         self._var_index = {v: i for i, v in enumerate(variables)}
         L = len(variables) * _W
         fields = [1 << i for i in range(0, L, _W)]
@@ -237,20 +241,47 @@ class PolyRing:
 
     # -- constructors -------------------------------------------------------
 
+    def make(self, acc, den=1):
+        """The canonical polynomial acc / den, for {packed monomial: int} and
+        an int den != 0: over QQ divided by gcd(den, *numerators), signed so
+        that den > 0, over GF(p) times den's inverse, reduced."""
+        p = self.modulus
+        if p:
+            inv = pow(den, -1, p)
+            items = [(m, r) for m, c in acc.items() if (r := c * inv % p)]
+            den = 1
+        else:
+            items = [(m, c) for m, c in acc.items() if c]
+            if den != 1:
+                g = gcd(den, *(c for _, c in items)) * (1 if den > 0 else -1)
+                items = [(m, c // g) for m, c in items]
+                den //= g
+        items.sort(reverse=True)
+        return Polynomial(self, tuple(items), den)
+
+    def sum(self, parts, den=1):
+        """The canonical (sum of k * f over parts) / den, for a sequence of
+        (int k, polynomial f) parts, summed over their lcm denominator in one
+        dict."""
+        common = lcm(*(f.den for _, f in parts))
+        acc = {}
+        for k, f in parts:
+            k *= common // f.den
+            for m, c in f.items:
+                acc[m] = acc.get(m, 0) + k * c
+        return self.make(acc, den * common)
+
     def zero(self):
-        return Polynomial(self, ())
+        return Polynomial(self, (), 1)
 
     def one(self):
         return self.constant(1)
 
     def constant(self, c):
-        c = self.domain.convert(c)
-        if not c:
-            return self.zero()
-        return Polynomial(self, ((0, c),))
+        return self.from_packed({0: c})
 
     def gen(self, i):
-        return Polynomial(self, ((self.units[i], self.domain.one),))
+        return Polynomial(self, ((self.units[i], 1),), 1)
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -259,11 +290,7 @@ class PolyRing:
         return self.gen(self._var_index[name])
 
     def monomial(self, exps, coeff=1):
-        m = self.key(exps)
-        c = self.domain.convert(coeff)
-        if not c:
-            return self.zero()
-        return Polynomial(self, ((m, c),))
+        return self.from_packed({self.key(exps): coeff})
 
     def from_dict(self, coeffs):
         """Canonical polynomial from {exponent tuple: raw coefficient}; each
@@ -273,13 +300,9 @@ class PolyRing:
     def from_packed(self, coeffs):
         """Canonical polynomial from {packed monomial: raw coefficient}."""
         convert = self.domain.convert
-        items = []
-        for m, c in coeffs.items():
-            c = convert(c)
-            if c:
-                items.append((m, c))
-        items.sort(reverse=True)
-        return Polynomial(self, tuple(items))
+        ratios = [(m, *convert(c).as_integer_ratio()) for m, c in coeffs.items()]
+        den = lcm(*(d for _, _, d in ratios))
+        return self.make({m: n * (den // d) for m, n, d in ratios}, den)
 
     def with_order(self, order):
         """Same variables and domain under another term order."""
@@ -290,34 +313,43 @@ class PolyRing:
         term order may differ, and QQ coefficients may map into GF(p)."""
         if f.ring.variables != self.variables:
             raise RingMismatchError("convert() needs the same variables")
-        src = f.ring.domain
-        return self.from_dict({m: _convert_between(c, src, self.domain)
-                               for m, c in f.terms})
+        _check_domains(f.ring.domain, self.domain)
+        unpack = f.ring.unpack
+        return self.make({self.pack(unpack(m)): c for m, c in f.items}, f.den)
 
     def parse(self, text):
         return _Parser(self, text).parse()
 
 
 class Polynomial:
-    """Immutable canonical sparse polynomial.
+    """Immutable canonical sparse polynomial (sum of c * m over ``items``)
+    / ``den``, built by ``PolyRing.make``.
 
-    ``items`` is a tuple of (packed monomial, coefficient) pairs, strictly
-    descending (so in the ring's term order), with no zero coefficients.
-    ``terms`` is the same with exponent tuples, built on first use.
+    ``items`` holds (packed monomial, nonzero int) pairs, strictly descending
+    (so in the term order).  Over QQ ``den`` > 0 shares no factor with all
+    the numerators, so it is the lcm of the reduced denominators; over GF(p)
+    the ints are residues in [1, p) and ``den`` is 1.  ``terms`` holds
+    exponent tuples and domain coefficients, built on first use.
     """
 
-    __slots__ = ("ring", "items", "_terms")
+    __slots__ = ("ring", "items", "den", "_terms")
 
-    def __init__(self, ring, items):
+    def __init__(self, ring, items, den):
         self.ring = ring
         self.items = items
+        self.den = den
         self._terms = None
+
+    def _coefficient(self, c):
+        """The domain coefficient of a stored int."""
+        return c if self.ring.modulus else Fraction(c, self.den)
 
     @property
     def terms(self):
         if self._terms is None:
             unpack = self.ring.unpack
-            self._terms = tuple((unpack(m), c) for m, c in self.items)
+            self._terms = tuple((unpack(m), self._coefficient(c))
+                                for m, c in self.items)
         return self._terms
 
     # -- basic queries -------------------------------------------------------
@@ -348,22 +380,23 @@ class Polynomial:
     def leading_coefficient(self):
         if not self.items:
             raise ValueError("zero polynomial has no leading term")
-        return self.items[0][1]
+        return self._coefficient(self.items[0][1])
 
     def coefficient(self, exps):
         m = self.ring.key(exps)
         for n, c in self.items:
             if n == m:
-                return c
+                return self._coefficient(c)
         return self.ring.domain.zero
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring
-                and self.items == other.items)
+                and self.items == other.items
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.ring, self.items))
+        return hash((self.ring, self.items, self.den))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -377,17 +410,12 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check_ring(other)
-        zero = self.ring.domain.zero
-        acc = dict(self.items)
-        for m, c in other.items:
-            acc[m] = acc.get(m, zero) + c
-        return self.ring.from_packed(acc)
+        return self.ring.sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        convert = self.ring.domain.convert
-        return Polynomial(self.ring, tuple((m, convert(-c)) for m, c in self.items))
+        return self.scale(-1)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -398,25 +426,22 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, c):
-        convert = self.ring.domain.convert
-        c = convert(c)
-        if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, tuple((m, convert(k * c)) for m, k in self.items))
+        k, den = self.ring.domain.convert(c).as_integer_ratio()
+        return self.ring.sum(((k, self),), den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        ring, zero = self.ring, self.ring.domain.zero
+        ring = self.ring
         ring.check_cap(ring.peak(m for m, _ in self.items)
                        + ring.peak(m for m, _ in other.items))
         acc = {}
         for m1, c1 in self.items:
             for m2, c2 in other.items:
                 m = m1 + m2
-                acc[m] = acc.get(m, zero) + c1 * c2
-        return ring.from_packed(acc)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return ring.make(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -438,29 +463,33 @@ class Polynomial:
         self._check_ring(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        ring = self.ring
-        convert = ring.domain.convert
-        glm, glc = g.items[0]
-        glc_inv = ring.domain.invert(glc)
-        gpeak = ring.peak(m for m, _ in g.items)
-        rem = dict(self.items)
+        ring, p = self.ring, self.ring.modulus
+        # g = h * content / g.den, h monic over GF(p) and primitive over QQ:
+        # a quotient of integers by h is integral if it exists (Gauss's lemma)
+        content = g.items[0][1] if p else gcd(*(c for _, c in g.items))
+        h = ring.make(dict(g.items), content)
+        hlm, hlc = h.items[0]
+        hpeak = ring.peak(m for m, _ in h.items)
+        rem = {m: c * g.den for m, c in self.items}
         quot = {}
         while rem:
             lm = max(rem)
-            if not ring.divides(glm, lm):
+            qc, r = divmod(rem[lm], hlc)
+            if r or not ring.divides(hlm, lm):
                 raise DivisionError("no exact quotient (leading term not divisible)")
-            q = lm - glm
-            ring.check_cap(q + gpeak)
-            qc = convert(rem[lm] * glc_inv)
+            q = lm - hlm
+            ring.check_cap(q + hpeak)
             quot[q] = qc
-            for m, c in g.items:
+            for m, c in h.items:
                 mm = q + m
-                s = convert(rem.get(mm, 0) - qc * c)
+                s = rem.get(mm, 0) - qc * c
+                if p:
+                    s %= p
                 if s:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return ring.from_packed(quot)
+        return ring.make(quot, self.den * content)
 
     # -- calculus and evaluation ----------------------------------------------
 
@@ -471,8 +500,8 @@ class Polynomial:
         if not (0 <= i < ring.nvars):
             raise ValueError(f"variable index {i} out of range")
         unit, shift = ring.units[i], i * _W
-        return ring.from_packed({m - unit: c * (m >> shift & _FIELD)
-                                 for m, c in self.items if m >> shift & _FIELD})
+        return ring.make({m - unit: c * (m >> shift & _FIELD)
+                          for m, c in self.items if m >> shift & _FIELD}, self.den)
 
     def gradient(self):
         return tuple(self.partial_derivative(i) for i in range(self.ring.nvars))
@@ -493,6 +522,7 @@ class Polynomial:
                 raise TypeError("images must be polynomials")
             if im.ring != target:
                 raise RingMismatchError("images live in different rings")
+        _check_domains(self.ring.domain, target.domain)
         powers = [{0: target.one()} for _ in range(self.ring.nvars)]
 
         def power(i, e):
@@ -502,41 +532,35 @@ class Polynomial:
             return cache[e]
 
         # the pieces are summed in one dict, which is sorted once
-        one, zero, out = target.one(), target.domain.zero, {}
-        for m, c in self.terms:
-            c = _convert_between(c, self.ring.domain, target.domain)
+        one, parts = target.one(), []
+        for m, c in self.items:
             piece = one
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.ring.unpack(m)):
                 if e:
                     piece = piece * power(i, e)
-            for mono, d in piece.items:
-                out[mono] = out.get(mono, zero) + c * d
-        return target.from_packed(out)
+            parts.append((c, piece))
+        return target.sum(parts, self.den)
 
     def evaluate(self, point):
-        """Exact value at a point (a sequence of domain scalars)."""
+        """Exact value at a point (a sequence of domain scalars), in ints: a
+        coordinate a/b enters a term of exponent e as a^e * b^(t - e), for t
+        its largest exponent in f, and the sum is divided once."""
         point = tuple(point)
-        if len(point) != self.ring.nvars:
-            raise ValueError(f"expected {self.ring.nvars} coordinates")
-        convert = self.ring.domain.convert
-        vals = tuple(convert(p) for p in point)
+        ring, p = self.ring, self.ring.modulus
+        if len(point) != ring.nvars:
+            raise ValueError(f"expected {ring.nvars} coordinates")
+        ratios = [ring.domain.convert(v).as_integer_ratio() for v in point]
+        exps = [ring.unpack(m) for m, _ in self.items]
+        top = [max(column) for column in zip(*exps)]
+        rows = [[pow(a, e, p) * pow(b, t - e, p) for e in range(t + 1)]
+                for (a, b), t in zip(ratios, top)]
         total = 0
-        powers = [{0: 1} for _ in range(self.ring.nvars)]
-
-        def power(i, e):
-            cache = powers[i]
-            while e not in cache:
-                k = max(cache)
-                cache[k + 1] = convert(cache[k] * vals[i])
-            return cache[e]
-
-        for m, c in self.terms:
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= power(i, e)
-            total += v
-        return convert(total)
+        for m, (_, c) in zip(exps, self.items):
+            for row, e in zip(rows, m):
+                c *= row[e]
+            total += c
+        den = self.den * prod(pow(b, t, p) for (_, b), t in zip(ratios, top))
+        return ring.domain.convert(Fraction(total, den))
 
     # -- printing --------------------------------------------------------------
 
@@ -547,12 +571,9 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
-def _convert_between(c, src, dst):
-    if src == dst:
-        return c
-    if isinstance(dst, PrimeField) and src == QQ:
-        return dst.convert(c)
-    raise RingMismatchError(f"cannot convert coefficients from {src!r} to {dst!r}")
+def _check_domains(src, dst):
+    if src != dst and not (isinstance(dst, PrimeField) and src == QQ):
+        raise RingMismatchError(f"cannot convert coefficients from {src!r} to {dst!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +584,10 @@ def format_polynomial(f):
     """Canonical ASCII text; parse(format(f)) == f."""
     if f.is_zero():
         return "0"
-    dom = f.ring.domain
-    rational = dom == QQ
     chunks = []
     for idx, (m, c) in enumerate(f.terms):
-        if rational:
-            negative = c < 0
-            mag = -c if negative else c
-        else:
-            negative = False
-            mag = c
+        negative = c < 0
+        mag = -c if negative else c
         factors = []
         for i, e in enumerate(m):
             if e == 1:
@@ -581,7 +596,7 @@ def format_polynomial(f):
                 factors.append(f"{f.ring.variables[i]}^{e}")
         if not factors:
             body = _format_coeff(mag)
-        elif mag == dom.one:
+        elif mag == 1:
             body = "*".join(factors)
         else:
             body = _format_coeff(mag) + "*" + "*".join(factors)
@@ -668,17 +683,15 @@ class _Parser:
     def expr(self):
         # the terms of a sum meet in one dict: adding them one polynomial at
         # a time would re-sort the partial sum for every term
-        zero = self.ring.domain.zero
-        acc = {}
-        negate = False
+        parts = []
+        sign = 1
         if self.peek()[0] in ("+", "-"):
-            negate = self.advance()[0] == "-"
+            sign = -1 if self.advance()[0] == "-" else 1
         while True:
-            for m, c in self.term().items:
-                acc[m] = acc.get(m, zero) + (-c if negate else c)
+            parts.append((sign, self.term()))
             if self.peek()[0] not in ("+", "-"):
-                return self.ring.from_packed(acc)
-            negate = self.advance()[0] == "-"
+                return self.ring.sum(parts)
+            sign = -1 if self.advance()[0] == "-" else 1
 
     def term(self):
         if self.peek()[0] == "int":

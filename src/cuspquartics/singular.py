@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import prod
+from math import gcd, prod
 
 from . import groebner, linalg
 from .geometry import (
@@ -110,8 +110,9 @@ class LocalData:
     """Value, gradient and Hessian of a form f at a point, from derivatives.
 
     A projective point p with chart coordinate 1 is taken at its primitive
-    integer representative x = lam*p, and f as F = den*f with integer
-    coefficients.  For f of degree d, d^k f(p) = d^k F(x) / (den*lam^(d-k)):
+    integer representative x = lam*p, and f as F = den*f, its stored integer
+    numerators over their gcd, so den = f.den / gcd.  For f of degree d,
+    d^k f(p) = d^k F(x) / (den*lam^(d-k)):
     zero tests, ranks and kernels read the integers at x.  The chart pieces
     f(p), grad f(p).y, (1/2) y^T H(p) y, ... are the ones that substituting
     the chart and the translation into f gives (``local_expansion`` in the
@@ -127,9 +128,9 @@ class LocalData:
         else:
             self.x = point.integer_coords()
             self.lam, self.degree = self.x[self.chart], f.degree()
-        ints = linalg.primitive_integer_vector([c for _, c in f.terms])
-        self.den = ints[0] / f.terms[0][1] if ints else 1
-        self.terms = [(m, c) for (m, _), c in zip(f.terms, ints)]
+        g = gcd(*(c for _, c in f.items)) or 1
+        self.den = Fraction(f.den, g)
+        self.terms = [(f.ring.unpack(m), c // g) for m, c in f.items]
         self.value, self.gradient, self.hessian = _derivatives(self.terms, self.x)
 
     def _scale(self, k):

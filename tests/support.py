@@ -13,7 +13,7 @@ exponent-tuple term orders and monomial arithmetic (``order_key``,
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from cuspquartics import linalg
 from cuspquartics.codes import signed_word
@@ -155,7 +155,8 @@ def check_exact_divide_roundtrip(rng, cases):
     for _ in range(cases):
         f = random_polynomial(rng, ring, max_degree=3, max_terms=4)
         g = random_nonzero(rng, ring, max_degree=3, max_terms=3)
-        assert (f * g).exact_divide(g) == f
+        q = (f * g).exact_divide(g)
+        assert q == f and hash(q) == hash(f)
 
 
 def check_substitute_homomorphism(rng, cases):
@@ -174,7 +175,8 @@ def check_parse_format_roundtrip(rng, cases):
     ring = PolyRing(("x0", "x1", "x2", "x3"), QQ, "grevlex")
     for _ in range(cases):
         f = random_polynomial(rng, ring, max_degree=6, max_terms=6)
-        assert ring.parse(str(f)) == f
+        g = ring.parse(str(f))
+        assert g == f and hash(g) == hash(f)
 
 
 def _prime_to(rng, p, bound):
@@ -190,22 +192,37 @@ def _polynomial_prime_to(rng, ring, p, max_degree=3, max_terms=4):
                            for _ in range(rng.randint(0, max_terms))})
 
 
-def _assert_canonical(f, p):
-    assert all(type(c) is int and 1 <= c < p for _, c in f.terms), f.terms
-    keys = [f.ring.key(m) for m, _ in f.terms]
-    assert all(a > b for a, b in zip(keys, keys[1:])), f.terms
+def assert_canonical(f):
+    """f is in the stored form: nonzero ints at strictly descending packed
+    monomials over one int den; over QQ den is positive and shares no
+    factor with all the numerators, over GF(p) the ints are residues in
+    [1, p) and den is 1."""
+    keys = [m for m, _ in f.items]
+    numerators = [c for _, c in f.items]
+    assert all(type(c) is int and c for c in numerators), f.items
+    assert all(a > b for a, b in zip(keys, keys[1:])), f.items
+    assert keys == [f.ring.key(m) for m, _ in f.terms], f.items
+    assert type(f.den) is int, f.den
+    p = f.ring.modulus
+    if p:
+        assert all(1 <= c < p for c in numerators) and f.den == 1, f.items
+    else:
+        assert f.den > 0 and gcd(f.den, *numerators) == 1, (f.items, f.den)
 
 
 def check_prime_field_reduction(rng, cases):
     """Reducing QQ coefficients mod p commutes with the ring operations,
-    and every GF(p) result is canonical."""
+    and every QQ and GF(p) result is canonical."""
     names = ("x0", "x1", "x2", "x3")
     ring = PolyRing(names, QQ, "grevlex")
-    for p in (2, 3, 7, 2 ** 31 - 1):
-        red = PolyRing(names, GF(p), "grevlex").convert
+    lex = ring.with_order("lex")
+    for p in (2, 3, 7, 32003, 2 ** 31 - 1):
+        field = PolyRing(names, GF(p), "grevlex")
+        red = field.convert
 
         def agree(over_qq, over_fp):
-            _assert_canonical(over_fp, p)
+            assert_canonical(over_qq)
+            assert_canonical(over_fp)
             assert red(over_qq) == over_fp
 
         for _ in range(cases):
@@ -219,7 +236,10 @@ def check_prime_field_reduction(rng, cases):
             n = rng.randint(0, 4)
             agree(f ** n, red(f) ** n)
             if red(g):
-                agree(f, (red(f) * red(g)).exact_divide(red(g)))
+                agree((f * g).exact_divide(g),
+                      (red(f) * red(g)).exact_divide(red(g)))
+            agree(ring.parse(str(f)), field.parse(str(f)))
+            agree(lex.convert(f), red(f))
             i = rng.randrange(len(names))
             agree(f.partial_derivative(i), red(f).partial_derivative(i))
             images = [_polynomial_prime_to(rng, ring, p, 2, 3) for _ in names]

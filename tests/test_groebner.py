@@ -611,3 +611,18 @@ def test_trace_gate_on_coefficient_bits(monkeypatch, ring2, bits):
     assert basis.audit is (True if traced else None)
     assert basis.polys == _plain_basis(ideal, monkeypatch).polys
 
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)],
+                         ids=["QQ", "GF7", "GF32003"])
+def test_bases_and_normal_forms_are_canonical(make_rng, domain):
+    rng = make_rng(91)
+    ring = PolyRing(("x0", "x1", "x2"), domain)
+    for _ in range(15):
+        gens = [support.random_nonzero(rng, ring, max_degree=2, max_terms=3,
+                                       coeff_bound=4)
+                for _ in range(2)]
+        basis = buchberger(Ideal(gens))
+        g = support.random_polynomial(rng, ring, max_degree=4, max_terms=5)
+        for f in (*basis, normal_form(g, basis), normal_form(g, gens)):
+            support.assert_canonical(f)

@@ -310,6 +310,25 @@ def test_hash_and_equality(ring):
     g = ring.parse("2*x1 + x0")
     assert f == g and hash(f) == hash(g)
     assert len({f, g}) == 1
+    # one value, one stored form, whatever the route to it
+    x0, x1 = ring.gen(0), ring.gen(1)
+    half = ring.from_dict({(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1})
+    assert half.den == 2 and [c for _, c in half.items] == [1, 2]
+    routes = [ring.from_dict({(1, 0, 0, 0): Fraction(2, 4), (0, 1, 0, 0): 1}),
+              ring.from_dict({(1, 0, 0, 0): "2/4", (0, 1, 0, 0): "3/3"}),
+              ring.parse(str(half)),
+              ((x0 + 2 * x1) * (x0 - x1)).exact_divide(2 * x0 - 2 * x1),
+              (x0 + 2 * x1).scale(Fraction(1, 2))]
+    for h in routes:
+        support.assert_canonical(h)
+        assert h == half and hash(h) == hash(half)
+
+
+def test_rational_inverse_is_an_exact_fraction():
+    assert QQ.invert(2) == Fraction(1, 2) and type(QQ.invert(2)) is Fraction
+    assert QQ.invert(-3) == Fraction(-1, 3) and type(QQ.invert(-3)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.invert(0)
 
 
 def test_ring_axioms_sample(make_rng):
