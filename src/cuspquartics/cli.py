@@ -127,9 +127,10 @@ def _parse_generators(text, ring):
 def report_gb(args):
     text = args.generators
     if args.file:
-        lines = _read(args.file, "generator file").split("\n")
-        text = ",".join(line.strip() for line in lines
-                        if line.strip() and not line.startswith("#"))
+        # the manifest reader's rule: '#' starts a comment anywhere on a line
+        lines = (line.split("#", 1)[0].strip()
+                 for line in _read(args.file, "generator file").split("\n"))
+        text = ",".join(line for line in lines if line)
     if not text:
         raise InputError("no generators given (inline or --file)")
     ring = _ring_from(args.vars, args.order)

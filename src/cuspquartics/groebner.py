@@ -8,19 +8,21 @@ runs away under lex); useless pairs are discarded with Buchberger's product
 and chain criteria in the Gebauer-Moeller formulation.
 
 One Buchberger loop and one reducer serve every caller and both coefficient
-domains.  They work on dicts of a polynomial's stored ``items``: packed
-monomials and ints, the integer numerators over QQ and the residues over
-GF(p) (``Polynomial``), so nothing is converted on the way in, and
-``PolyRing.make`` divides by the denominator on the way out.  A monomial is
-one integer, whose order is the term order and whose sum is the product.  A
+domains; they are functions of the ring.  They work on dicts of a
+polynomial's stored ``items``: packed monomials and ints, the integer
+numerators over QQ and the residues over GF(p) (``Polynomial``), so nothing
+is converted on the way in, and ``PolyRing.make`` divides by the
+denominator on the way out.  Products (S-pairs, radical powers) go through
+``PolyRing.combine``, as polynomial products do.  A monomial is one
+integer, whose order is the term order and whose sum is the product.  A
 pair is keyed by the packed lcm of its leads, so the criteria and the
-selection compare ints.  Over QQ divisors are content-free, and a reduction
-step scales the work by a gcd cofactor instead of dividing, with content
-removed on the way; over GF(p) divisors are monic, so no step scales.
-Zero tests (membership, radical exponents, the S-pair audit) read that
-primitive remainder directly; ``normal_form`` divides it by the unit the
-reducer tracked, so remainders exposed to callers are exact.  A
-``GroebnerBasis`` converts its elements to divisor views once, and every
+selection compare ints.  Divisors are ``PolyRing.view``s: content-free over
+QQ, where a reduction step scales the work by a gcd cofactor instead of
+dividing, with content removed on the way, and monic over GF(p), where no
+step scales.  Zero tests (membership, radical exponents, the S-pair audit)
+read that primitive remainder directly; ``normal_form`` divides it by the
+unit the reducer tracked, so remainders exposed to callers are exact.  A
+``GroebnerBasis`` builds its elements' views once (``_views``), and every
 reduction modulo it reads them.  The audit checks the pairs that the
 criteria keep when they are replayed over the basis.
 
@@ -89,9 +91,9 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements, sorted by leading monomial.
 
     ``audit`` is the verdict of ``verify_buchberger_criterion`` when
-    ``buchberger`` ran it on this basis, else None.  The engine's divisor
-    views of the elements are built once, here; the audit and every
-    reduction modulo the basis read them.
+    ``buchberger`` ran it on this basis, else None.  The divisor views of
+    the elements (``PolyRing.view``) are built once, here; the audit and
+    every reduction modulo the basis read them.
     """
 
     __slots__ = ("ring", "polys", "audit", "_views")
@@ -100,7 +102,7 @@ class GroebnerBasis:
         self.ring = ring
         self.polys = tuple(polys)
         self.audit = audit
-        self._views = tuple(_Engine(ring).divisors(self.polys))
+        self._views = _views(ring, self.polys)
 
     def __len__(self):
         return len(self.polys)
@@ -118,13 +120,12 @@ class GroebnerBasis:
         the pair update is replayed over the basis in order; the pairs they
         drop reduce to zero whenever the kept ones do.
         """
-        engine = _Engine(self.ring)
-        divisors = self._views
+        ring, divisors = self.ring, self._views
         pairs = {}
         for t in range(len(divisors)):
-            pairs = _update_pairs(engine, divisors, pairs, t)
-        return all(not engine.reduce(engine.spair(pairs[i, j], divisors[i],
-                                                  divisors[j]), divisors)[0]
+            pairs = _update_pairs(ring, divisors, pairs, t)
+        return all(not _reduce(ring, _spair(ring, pairs[i, j], divisors[i],
+                                            divisors[j]), divisors)[0]
                    for i, j in sorted(pairs))
 
     def __repr__(self):
@@ -137,143 +138,103 @@ def s_polynomial(f, g):
         raise ValueError("s_polynomial needs nonzero inputs")
     if f.ring != g.ring:
         raise RingMismatchError("s_polynomial needs a common ring")
-    ring, invert = f.ring, f.ring.domain.invert
-    lmf, lmg = f.items[0][0], g.items[0][0]
-    top = ring.peak((lmf, lmg))
-    mf = ring.from_packed({top - lmf: invert(f.leading_coefficient())})
-    mg = ring.from_packed({top - lmg: invert(g.leading_coefficient())})
-    return mf * f - mg * g
+    ring = f.ring
+    df, dg = ring.view(dict(f.items)), ring.view(dict(g.items))
+    # the S-pair of the views is the lcm of their leading coefficients,
+    # signed, times the S-polynomial
+    return ring.make(_spair(ring, ring.peak((df[0], dg[0])), df, dg),
+                     df[1] * dg[1] // gcd(df[1], dg[1]))
 
 
 # ---------------------------------------------------------------------------
-# the reduction engine
+# the reduction engine, on {packed monomial: int} dicts (``dict(f.items)``
+# is f times its denominator) and their ``PolyRing.view``s as divisors
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """Coefficient-dict arithmetic of one ring on {packed monomial: int}
-    dicts: a polynomial's ``dict(f.items)`` is its denominator times f.  A
-    divisor is a view (lm, lc, items, peak) of a nonzero dict, peak the
-    exponentwise maximum of its monomials, so one cap check covers a whole
-    reduction step.
+def _views(ring, polys):
+    """Divisor views of the nonzero polynomials, in the given order."""
+    return tuple(ring.view(dict(f.items)) for f in polys if f)
+
+
+def _spair(ring, top, di, dj):
+    """S-polynomial of two divisors whose leads have lcm ``top``, free of
+    denominators."""
+    lmi, ci, fi, peaki = di
+    lmj, cj, fj, peakj = dj
+    g = gcd(ci, cj)
+    return ring.combine(((top - lmi, cj // g, fi, peaki),
+                         (top - lmj, -(ci // g), fj, peakj)))
+
+
+def _reduce(ring, p, divisors):
+    """(r, unit): remainder r of p under full division by ``divisors``.
+
+    At every step the first divisor whose leading monomial divides the
+    current term is used, which makes the remainder deterministic; with a
+    Groebner basis it is the normal form.  r is ``unit`` times the exact
+    remainder, for a positive rational unit; over QQ r is content-free,
+    over GF(p) unit is 1.
     """
-
-    __slots__ = ("ring", "modulus")
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.modulus = ring.modulus
-
-    def divisors(self, polys):
-        """Divisor views of the nonzero polynomials, in the given order."""
-        return [self.divisor(dict(f.items)) for f in polys if f]
-
-    def divisor(self, p):
-        """View of a nonzero dict as a divisor: content-free over QQ, monic
-        over GF(p)."""
-        lm = max(p)
-        if self.modulus:
-            inv = pow(p[lm], -1, self.modulus)
-            p = {m: c * inv % self.modulus for m, c in p.items()}
+    modulus, low, guard = ring.modulus, ring.low, ring.guard
+    work = dict(p)
+    remainder = {}
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    num = den = 1
+    steps = 0
+    while heap:
+        lm = -heapq.heappop(heap)
+        c = work.get(lm)
+        if c is None:
+            continue
+        f = lm & low
+        for dlm, dlc, ditems, dpeak in divisors:
+            if not (f - (dlm & low)) & guard:
+                q = lm - dlm
+                break
         else:
-            g = gcd(*p.values())
-            if g > 1:
-                p = {m: c // g for m, c in p.items()}
-        return lm, p[lm], tuple(p.items()), self.ring.peak(p)
-
-    def combine(self, parts):
-        """The sum of c * m * items over parts (m, c, items, peak)."""
-        out = {}
-        for m, c, items, peak in parts:
-            self.ring.check_cap(m + peak)
-            for n, k in items:
-                out[m + n] = out.get(m + n, 0) + c * k
-        if self.modulus:
-            return {m: c % self.modulus for m, c in out.items() if c % self.modulus}
-        return {m: c for m, c in out.items() if c}
-
-    def spair(self, top, di, dj):
-        """S-polynomial of two divisors whose leads have lcm ``top``, free
-        of denominators."""
-        lmi, ci, fi, peaki = di
-        lmj, cj, fj, peakj = dj
-        g = gcd(ci, cj)
-        return self.combine(((top - lmi, cj // g, fi, peaki),
-                             (top - lmj, -(ci // g), fj, peakj)))
-
-    def mul(self, p, q):
-        items, peak = q.items(), self.ring.peak(q)
-        return self.combine((m, c, items, peak) for m, c in p.items())
-
-    def reduce(self, p, divisors):
-        """(r, unit): remainder r of p under full division by ``divisors``.
-
-        At every step the first divisor whose leading monomial divides the
-        current term is used, which makes the remainder deterministic; with
-        a Groebner basis it is the normal form.  r is ``unit`` times the
-        exact remainder, for a positive rational unit; over QQ r is
-        content-free, over GF(p) unit is 1.
-        """
-        modulus, ring = self.modulus, self.ring
-        low, guard = ring.low, ring.guard
-        work = dict(p)
-        remainder = {}
-        heap = [-m for m in work]
-        heapq.heapify(heap)
-        num = den = 1
-        steps = 0
-        while heap:
-            lm = -heapq.heappop(heap)
-            c = work.get(lm)
-            if c is None:
-                continue
-            f = lm & low
-            for dlm, dlc, ditems, dpeak in divisors:
-                if not (f - (dlm & low)) & guard:
-                    q = lm - dlm
-                    break
+            remainder[lm] = work.pop(lm)
+            continue
+        ring.check_cap(q + dpeak)
+        g = gcd(c, dlc)
+        a, b = c // g, dlc // g
+        if b < 0:
+            a, b = -a, -b
+        if b != 1:
+            num *= b
+            for m in work:
+                work[m] *= b
+            for m in remainder:
+                remainder[m] *= b
+        for m, k in ditems:
+            mm = q + m
+            s = work.get(mm, 0) - a * k
+            if modulus:
+                s %= modulus
+            if s:
+                if mm not in work:
+                    heapq.heappush(heap, -mm)
+                work[mm] = s
             else:
-                remainder[lm] = work.pop(lm)
-                continue
-            ring.check_cap(q + dpeak)
-            g = gcd(c, dlc)
-            a, b = c // g, dlc // g
-            if b < 0:
-                a, b = -a, -b
-            if b != 1:
-                num *= b
-                for m in work:
-                    work[m] *= b
-                for m in remainder:
-                    remainder[m] *= b
-            for m, k in ditems:
-                mm = q + m
-                s = work.get(mm, 0) - a * k
-                if modulus:
-                    s %= modulus
-                if s:
-                    if mm not in work:
-                        heapq.heappush(heap, -mm)
-                    work[mm] = s
-                else:
-                    work.pop(mm, None)
-            steps += 1
-            if not modulus and steps % 64 == 0 and work:
-                g = gcd(*work.values(), *remainder.values())
-                if g > 1:
-                    den *= g
-                    for m in work:
-                        work[m] //= g
-                    for m in remainder:
-                        remainder[m] //= g
-        if not modulus and remainder:
-            g = gcd(*remainder.values())
+                work.pop(mm, None)
+        steps += 1
+        if not modulus and steps % 64 == 0 and work:
+            g = gcd(*work.values(), *remainder.values())
             if g > 1:
                 den *= g
-                remainder = {m: c // g for m, c in remainder.items()}
-        return remainder, Fraction(num, den)
+                for m in work:
+                    work[m] //= g
+                for m in remainder:
+                    remainder[m] //= g
+    if not modulus and remainder:
+        g = gcd(*remainder.values())
+        if g > 1:
+            den *= g
+            remainder = {m: c // g for m, c in remainder.items()}
+    return remainder, Fraction(num, den)
 
 
-def _divisors(engine, g, basis):
+def _divisors(g, basis):
     """Divisor views of a Groebner basis or a plain list, in g's ring."""
     if isinstance(basis, GroebnerBasis):
         if basis.ring != g.ring:
@@ -284,16 +245,15 @@ def _divisors(engine, g, basis):
     for d in polys:
         if d.ring != g.ring:
             raise RingMismatchError("polynomial and divisor rings differ")
-    return engine.divisors(polys)
+    return _views(g.ring, polys)
 
 
 def normal_form(g, basis):
     """Remainder of g modulo a Groebner basis (deterministic, exact)."""
-    engine = _Engine(g.ring)
-    divisors = _divisors(engine, g, basis)
+    divisors = _divisors(g, basis)
     if not divisors:
         return g
-    r, unit = engine.reduce(dict(g.items), divisors)
+    r, unit = _reduce(g.ring, dict(g.items), divisors)
     return g.ring.make({m: c * unit.denominator for m, c in r.items()},
                        unit.numerator * g.den)
 
@@ -302,7 +262,7 @@ def normal_form(g, basis):
 # Buchberger's algorithm
 # ---------------------------------------------------------------------------
 
-def _update_pairs(engine, divisors, pairs, t):
+def _update_pairs(ring, divisors, pairs, t):
     """Gebauer-Moeller pair update after appending element t.
 
     Implements Buchberger's product and chain criteria; ``divisors`` holds
@@ -310,7 +270,7 @@ def _update_pairs(engine, divisors, pairs, t):
     (i, j) to the packed lcm L of its leads, which is also its place in the
     term order.
     """
-    ring, lmf = engine.ring, divisors[t][0]
+    lmf = divisors[t][0]
     kept = {}
     for (i, j), lij in pairs.items():
         if (not ring.divides(lmf, lij)
@@ -334,7 +294,7 @@ def _update_pairs(engine, divisors, pairs, t):
     return kept
 
 
-def _loop(engine, gens, trace=None):
+def _loop(ring, gens, trace=None):
     """Buchberger's loop on the generators' coefficient dicts.
 
     Returns (G, outcomes): the divisors appended, generators first, and for
@@ -350,8 +310,8 @@ def _loop(engine, gens, trace=None):
 
     def append(p):
         nonlocal pairs
-        G.append(engine.divisor(p))
-        pairs = _update_pairs(engine, G, pairs, len(G) - 1)
+        G.append(ring.view(p))
+        pairs = _update_pairs(ring, G, pairs, len(G) - 1)
 
     for g in gens:
         append(g)
@@ -361,8 +321,8 @@ def _loop(engine, gens, trace=None):
         del pairs[i, j]
         if trace is not None and trace.get((i, j)) is None:
             continue
-        s = engine.spair(L, G[i], G[j])
-        r = engine.reduce(s, G)[0] if s else s
+        s = _spair(ring, L, G[i], G[j])
+        r = _reduce(ring, s, G)[0] if s else s
         lead = max(r) if r else None
         if trace is not None and lead != trace[i, j]:
             return None
@@ -386,52 +346,50 @@ def buchberger(ideal, order=None, audit=False):
         gens = [ring.convert(g) for g in ideal.generators]
     else:
         gens = list(ideal.generators)
-    engine = _Engine(ring)
     gens = [dict(g.items) for g in gens]
     top = max((abs(c) for g in gens for c in g.values()), default=0)
-    if not engine.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS):
-        basis = _traced(engine, gens)
+    if not ring.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS):
+        basis = _traced(ring, gens)
         if basis is not None:
             return basis
-    G, _ = _loop(engine, gens)
-    basis = GroebnerBasis(ring, _interreduce(engine, G))
+    G, _ = _loop(ring, gens)
+    basis = GroebnerBasis(ring, _interreduce(ring, G))
     if audit:
         basis.audit = basis.verify_buchberger_criterion()
     return basis
 
 
-def _traced(engine, gens):
+def _traced(ring, gens):
     """The traced basis over QQ, or None if the trace cannot be used or its
     basis fails either check (module docstring)."""
-    ring, p = engine.ring, _TRACE_PRIME
+    p = _TRACE_PRIME
     if any(g[max(g)] % p == 0 for g in gens):
         return None
-    modular = _Engine(PolyRing(ring.variables, GF(p), ring.order))
-    _, trace = _loop(modular, [{m: c % p for m, c in g.items() if c % p}
-                               for g in gens])
-    run = _loop(engine, gens, trace)
+    _, trace = _loop(PolyRing(ring.variables, GF(p), ring.order),
+                     [{m: c % p for m, c in g.items() if c % p} for g in gens])
+    run = _loop(ring, gens, trace)
     if run is None:
         return None
-    basis = GroebnerBasis(ring, _interreduce(engine, run[0]), True)
+    basis = GroebnerBasis(ring, _interreduce(ring, run[0]), True)
     if (basis.verify_buchberger_criterion()
-            and not any(engine.reduce(g, basis._views)[0] for g in gens)):
+            and not any(_reduce(ring, g, basis._views)[0] for g in gens)):
         return basis
     return None
 
 
-def _interreduce(engine, divisors):
+def _interreduce(ring, divisors):
     """Minimalize, tail-reduce and make monic; yields the unique reduced basis.
 
     The result is sorted by leading monomial: each element keeps its lead.
     """
     minimal = []
     for d in sorted(divisors, key=lambda d: d[0]):
-        if not any(engine.ring.divides(e[0], d[0]) for e in minimal):
+        if not any(ring.divides(e[0], d[0]) for e in minimal):
             minimal.append(d)
     reduced = []
     for i, (lm, _, items, _) in enumerate(minimal):
-        r, _ = engine.reduce(dict(items), minimal[:i] + minimal[i + 1:])
-        reduced.append(engine.ring.make(r, r[lm]))
+        r, _ = _reduce(ring, dict(items), minimal[:i] + minimal[i + 1:])
+        reduced.append(ring.make(r, r[lm]))
     return reduced
 
 
@@ -450,8 +408,7 @@ def ideal_membership(g, ideal):
     basis = _as_basis(ideal)
     if not basis.polys:
         return g.is_zero()
-    engine = _Engine(g.ring)
-    r, _ = engine.reduce(dict(g.items), _divisors(engine, g, basis))
+    r, _ = _reduce(g.ring, dict(g.items), _divisors(g, basis))
     return not r
 
 
@@ -466,13 +423,13 @@ def radical_membership(g, ideal, p_max):
     basis = _as_basis(ideal)
     if not basis.polys:
         return 1 if g.is_zero() else None
-    engine = _Engine(g.ring)
-    divisors = _divisors(engine, g, basis)
-    f = dict(g.items)
-    r, _ = engine.reduce(f, divisors)
+    ring, divisors = g.ring, _divisors(g, basis)
+    items, peak = g.items, ring.peak(m for m, _ in g.items)
+    r, _ = _reduce(ring, dict(items), divisors)
     p = 1
     while r and p < p_max:
-        r, _ = engine.reduce(engine.mul(r, f), divisors)
+        r, _ = _reduce(ring, ring.combine((m, c, items, peak)
+                                          for m, c in r.items()), divisors)
         p += 1
     return None if r else p
 

@@ -13,7 +13,8 @@ through ``terms`` and ``leading_monomial``.
 
 Coefficients are stored as ints, integer numerators over one common
 denominator over QQ (as FLINT's ``fmpq_poly``) and residues over GF(p);
-``PolyRing.make`` is the one normaliser and ``PolyRing.sum`` the one sum.
+``PolyRing.make`` is the one normaliser, ``PolyRing.combine`` the one
+product kernel and ``PolyRing.view`` the one divisor normalisation.
 A coefficient domain (``zero``, ``one``, ``convert``, ``invert``) handles
 single coefficients: raw input comes in through ``convert``, and ``terms``
 and ``coefficient`` give out a ``Fraction`` or a residue in [0, p).
@@ -156,9 +157,9 @@ class PolyRing:
     (F_rev holds the fields in reverse order).  So the term order is int
     comparison, a product is a sum, and a divides b iff b's low part minus
     a's sets no guard bit.  A field holds twice the exponent cap, so a sum
-    of two capped monomials fits; and the peak (exponentwise maximum) of all
-    products of two sets is the sum of their peaks, so one cap check covers
-    a whole product.
+    of two capped monomials fits; and the peak (exponentwise maximum) of a
+    term times a polynomial is the term plus the polynomial's peak, so one
+    cap check covers it.
     """
 
     __slots__ = ("variables", "domain", "order", "modulus", "units", "low",
@@ -170,6 +171,10 @@ class PolyRing:
             raise ValueError("a ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        for v in variables:
+            # the tokenizer's identifier rule, so that printed output parses
+            if not (w := v.replace("_", "a"))[:1].isalpha() or not w.isalnum():
+                raise ValueError(f"variable name {v!r} is not an identifier")
         if order not in ORDER_NAMES:
             raise ValueError(f"unknown term order {order!r}")
         self.variables = variables
@@ -264,12 +269,34 @@ class PolyRing:
         (int k, polynomial f) parts, summed over their lcm denominator in one
         dict."""
         common = lcm(*(f.den for _, f in parts))
-        acc = {}
-        for k, f in parts:
-            k *= common // f.den
-            for m, c in f.items:
-                acc[m] = acc.get(m, 0) + k * c
-        return self.make(acc, den * common)
+        return self.make(self.combine((0, k * (common // f.den), f.items, 0)
+                                      for k, f in parts), den * common)
+
+    def combine(self, parts):
+        """The {packed monomial: int} sum of c * m * items over parts (m, c,
+        items, peak), for peak the peak of items' monomials (0 in a sum, which
+        raises no exponent), reduced over GF(p); one cap check per part."""
+        out = {}
+        for m, c, items, peak in parts:
+            self.check_cap(m + peak)
+            for n, k in items:
+                out[m + n] = out.get(m + n, 0) + c * k
+        if self.modulus:
+            return {m: r for m, c in out.items() if (r := c % self.modulus)}
+        return {m: c for m, c in out.items() if c}
+
+    def view(self, p):
+        """The divisor view (lm, lc, items, peak) of a nonzero {packed
+        monomial: int} dict: content-free over QQ, monic over GF(p)."""
+        lm = max(p)
+        if self.modulus:
+            inv = pow(p[lm], -1, self.modulus)
+            p = {m: c * inv % self.modulus for m, c in p.items()}
+        else:
+            g = gcd(*p.values())
+            if g > 1:
+                p = {m: c // g for m, c in p.items()}
+        return lm, p[lm], tuple(p.items()), self.peak(p)
 
     def zero(self):
         return Polynomial(self, (), 1)
@@ -433,15 +460,10 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        ring = self.ring
-        ring.check_cap(ring.peak(m for m, _ in self.items)
-                       + ring.peak(m for m, _ in other.items))
-        acc = {}
-        for m1, c1 in self.items:
-            for m2, c2 in other.items:
-                m = m1 + m2
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return ring.make(acc, self.den * other.den)
+        ring, items = self.ring, other.items
+        peak = ring.peak(m for m, _ in items)
+        return ring.make(ring.combine((m, c, items, peak) for m, c in self.items),
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -464,12 +486,10 @@ class Polynomial:
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         ring, p = self.ring, self.ring.modulus
-        # g = h * content / g.den, h monic over GF(p) and primitive over QQ:
-        # a quotient of integers by h is integral if it exists (Gauss's lemma)
-        content = g.items[0][1] if p else gcd(*(c for _, c in g.items))
-        h = ring.make(dict(g.items), content)
-        hlm, hlc = h.items[0]
-        hpeak = ring.peak(m for m, _ in h.items)
+        # g = h * content / g.den for h g's view, monic or primitive: a
+        # quotient of integers by h is integral if it exists (Gauss's lemma)
+        hlm, hlc, hitems, hpeak = ring.view(dict(g.items))
+        content = g.items[0][1] // hlc
         rem = {m: c * g.den for m, c in self.items}
         quot = {}
         while rem:
@@ -480,7 +500,7 @@ class Polynomial:
             q = lm - hlm
             ring.check_cap(q + hpeak)
             quot[q] = qc
-            for m, c in h.items:
+            for m, c in hitems:
                 mm = q + m
                 s = rem.get(mm, 0) - qc * c
                 if p:

@@ -7,9 +7,10 @@ helpers at the end (``in_span``, ``split_rank2_form``, ``mat_mul``,
 ``constant_term`` and the JSON views of certificates and codes) serve only
 the tests.  So do the references the packed code is checked against: the
 exponent-tuple term orders and monomial arithmetic (``order_key``,
-``monomial_mul``, ``monomial_div``, ``monomial_lcm``), and
+``monomial_mul``, ``monomial_div``, ``monomial_lcm``),
 ``local_expansion``, the substitution route to the local pieces that
-``singular.LocalData`` reads from derivatives.
+``singular.LocalData`` reads from derivatives, and ``s_polynomial_formula``,
+the textbook S-polynomial in ``Polynomial`` arithmetic.
 """
 
 from fractions import Fraction
@@ -56,6 +57,17 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def s_polynomial_formula(f, g):
+    """m_f*f/lc(f) - m_g*g/lc(g), for m_f and m_g the cofactors of the two
+    leading monomials in their lcm."""
+    ring, invert = f.ring, f.ring.domain.invert
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    top = monomial_lcm(lf, lg)
+    mf = ring.monomial(monomial_div(top, lf), invert(f.leading_coefficient()))
+    mg = ring.monomial(monomial_div(top, lg), invert(g.leading_coefficient()))
+    return mf * f - mg * g
 
 
 def order_key(order):

@@ -70,6 +70,22 @@ def test_gb_from_file_with_order(capsys, tmp_path):
     assert basis["elements"] == ["x1 - 1", "x0 - 1"]
 
 
+def test_gb_file_comments_follow_the_manifest_rule(capsys, tmp_path):
+    # an indented comment line and a trailing comment are both dropped, as
+    # the manifest reader drops them
+    path = tmp_path / "gens.txt"
+    path.write_text("  # the twisted cubic\nx0*x2 - x1^2  # first\n"
+                    "\t# tab-indented\nx1*x3 - x2^2\nx0*x3 - x1*x2 #\n")
+    code, report, err = run_json(capsys, "--json", "gb", "--file", str(path))
+    assert (code, err) == (0, "")
+    _, inline, _ = run_json(capsys, "--json", "gb",
+                            "x0*x2 - x1^2, x1*x3 - x2^2, x0*x3 - x1*x2")
+    basis = next(r for r in report["results"] if r["name"] == "reduced basis")
+    assert basis == next(r for r in inline["results"]
+                         if r["name"] == "reduced basis")
+    assert basis["size"] == 3
+
+
 def test_gb_lex_selects_pairs_by_the_term_order(capsys):
     # picking the least lcm degree first, this ideal ran for minutes with
     # coefficients of 95,000 bits; picking by the lex order it is quick
@@ -134,7 +150,7 @@ def test_gb_unreadable_file_exit2(capsys, tmp_path):
         assert err.startswith("input error: cannot read")
 
 
-@pytest.mark.parametrize("names", [",", "x0,x0"])
+@pytest.mark.parametrize("names", [",", "x0,x0", "x0,a*b", "x^2"])
 def test_gb_bad_variables_exit2(capsys, names):
     code, out, err = run_cli(capsys, "gb", "x0", "--vars", names)
     assert code == 2
@@ -142,7 +158,7 @@ def test_gb_bad_variables_exit2(capsys, names):
     assert err.startswith("input error: ")
 
 
-@pytest.mark.parametrize("names", [",", "x0,x0"])
+@pytest.mark.parametrize("names", [",", "x0,x0", "x0,a*b", "x^2"])
 def test_nf_bad_variables_exit2(capsys, names):
     code, out, err = run_cli(capsys, "nf", "x0", "x0^2", "--vars", names)
     assert code == 2
@@ -447,15 +463,15 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
             partials.append(var)
         return original_partial(self, var)
 
-    original_divisors = groebner._Engine.divisors
-    def counting_divisors(self, polys):
+    original_views = groebner._views
+    def counting_views(ring, polys):
         conversions.append(polys)
-        return original_divisors(self, polys)
+        return original_views(ring, polys)
 
     monkeypatch.setattr(singular.LocalData, "__init__", counting_init)
     monkeypatch.setattr(groebner, "radical_membership", counting_membership)
     monkeypatch.setattr(Polynomial, "partial_derivative", counting_partial)
-    monkeypatch.setattr(groebner._Engine, "divisors", counting_divisors)
+    monkeypatch.setattr(groebner, "_views", counting_views)
     # ex61 takes the plain path; the bound-3000 jacobian is traced
     for manifest in (EX61_MANIFEST, BOUND_3000_MANIFEST):
         path = tmp_path / "fam.txt"

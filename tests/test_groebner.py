@@ -42,6 +42,29 @@ def test_s_polynomial_examples():
     assert s_polynomial(f, f).is_zero()
 
 
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)],
+                         ids=["QQ", "GF7", "GF32003"])
+def test_s_polynomial_matches_the_formula(make_rng, order, domain):
+    # the S-pair of the two divisor views, over the lcm of their leading
+    # coefficients, against the textbook formula in Polynomial arithmetic
+    rng = make_rng(23)
+    ring = PolyRing(("x0", "x1", "x2"), domain, order)
+    checked = 0
+    for _ in range(120):
+        bound = rng.choice((4, 10 ** 12))
+        f, g = (support.random_nonzero(rng, ring, max_degree=4, max_terms=4,
+                                       coeff_bound=bound) for _ in range(2))
+        # equal leads, a pair with itself and a rescaled pair cancel more
+        g = rng.choice((g, g + f.scale(rng.randint(-3, 3)), f, f.scale(-2)))
+        if g:
+            s = s_polynomial(f, g)
+            assert s == support.s_polynomial_formula(f, g)
+            support.assert_canonical(s)
+            checked += 1
+    assert checked >= 100
+
+
 def assert_reduced(basis):
     """Monic, and no term divisible by another element's leading monomial."""
     leads = basis.leading_monomials()

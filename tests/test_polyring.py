@@ -249,6 +249,32 @@ def test_exponent_cap(ring, gens):
     big = x0 ** 60000
     with pytest.raises(ExponentOverflowError):
         big * big
+    # the peaks of multi-term operands come from different terms, so the
+    # check holds per term of the product, in both operand orders; in the
+    # second pair the overflowing term of the left operand is not its lead
+    x1 = gens[1]
+    for a, b in ((x0 ** 40000 + x1, x1 + x0 ** 30000),
+                 (x1 ** 50000 + x0 ** 40000, x0 ** 30000 + x1),
+                 (x0 + x1 ** 40000 + x0 ** 2, x0 ** 3 + x1 ** 30000 * x0)):
+        for f, g in ((a, b), (b, a)):
+            with pytest.raises(ExponentOverflowError):
+                f * g
+    # exactly at the cap from different terms is fine
+    a, b = x0 ** 30000 + x1 ** 40000, x1 ** 25536 + x0 ** 35536
+    assert a * b == b * a == ring.from_dict({
+        (65536, 0, 0, 0): 1, (30000, 25536, 0, 0): 1,
+        (35536, 40000, 0, 0): 1, (0, 65536, 0, 0): 1})
+
+
+def test_variable_names_follow_the_tokenizer_rule():
+    # printed output must parse back: x^2^2 + y does not
+    for names in (("x^2", "y"), ("x0", "a*b"), ("a b",), ("",), ("1x",),
+                  ("x#",), ("x-y",), ("(x)",)):
+        with pytest.raises(ValueError, match="is not an identifier"):
+            PolyRing(names)
+    ring = PolyRing(("_y", "x_1", "é", "x²", "Z9"))
+    f = ring.parse("_y^2 - 3*x_1*é + x²^4*Z9")
+    assert ring.parse(str(f)) == f and f.degree() == 5
 
 
 def test_from_dict_checks_exponent_tuples():
