@@ -29,12 +29,12 @@ criteria keep when they are replayed over the basis.
 Over QQ the loop runs as a Groebner trace (Traverso 1988) when the caller
 pays for the audit anyway (``buchberger(..., audit=True)``, the verdict in
 ``GroebnerBasis.audit``) or a generator has a coefficient of _TRACE_MIN_BITS
-bits or more: a run over GF(_TRACE_PRIME) learns which pairs reduce to zero,
-and the QQ run skips them.  Its basis B lies in the ideal; it is kept only
-if (a) it passes the audit, so B is a Groebner basis of ideal(B), and (b)
-every generator reduces to zero modulo B, so B is the reduced basis of the
-ideal whatever the prime did.  Otherwise, or when the QQ run departs from
-the trace, the plain run is repeated.
+bits or more.  The trace is a set of pairs to skip: a run over
+GF(_TRACE_PRIME) collects the pairs whose S-pair reduces to zero, and the
+QQ run skips them.  Its basis B lies in the ideal; it is kept only if (a) it
+passes the audit, so B is a Groebner basis of ideal(B), and (b) every
+generator reduces to zero modulo B, so B is the reduced basis of the ideal
+whatever the prime did.  A failed check falls through to the plain run.
 """
 
 from __future__ import annotations
@@ -294,19 +294,16 @@ def _update_pairs(ring, divisors, pairs, t):
     return kept
 
 
-def _loop(ring, gens, trace=None):
+def _loop(ring, gens, skip=frozenset()):
     """Buchberger's loop on the generators' coefficient dicts.
 
-    Returns (G, outcomes): the divisors appended, generators first, and for
-    every pair taken, in order, the lead its remainder appended or None if
-    it reduced to zero.  Given the outcomes of a run over another domain as
-    ``trace``, the pairs that went to zero there are skipped, and None is
-    returned as soon as a pair kept gives another lead or reduces to zero.
-    While the leads agree, both runs hold the same pairs.
+    Returns (G, zero): the divisors appended, generators first, and the set
+    of pairs whose S-pair reduced to zero.  The pairs in ``skip`` are taken
+    but not reduced.
     """
     G = []
     pairs = {}
-    outcomes = {}
+    zero = set()
 
     def append(p):
         nonlocal pairs
@@ -319,17 +316,14 @@ def _loop(ring, gens, trace=None):
         # normal strategy: least lcm in the term order, then (i, j)
         L, (i, j) = min((L, ij) for ij, L in pairs.items())
         del pairs[i, j]
-        if trace is not None and trace.get((i, j)) is None:
+        if (i, j) in skip:
             continue
-        s = _spair(ring, L, G[i], G[j])
-        r = _reduce(ring, s, G)[0] if s else s
-        lead = max(r) if r else None
-        if trace is not None and lead != trace[i, j]:
-            return None
-        outcomes[i, j] = lead
+        r = _reduce(ring, _spair(ring, L, G[i], G[j]), G)[0]
         if r:
             append(r)
-    return G, outcomes
+        else:
+            zero.add((i, j))
+    return G, zero
 
 
 def buchberger(ideal, order=None, audit=False):
@@ -348,33 +342,24 @@ def buchberger(ideal, order=None, audit=False):
         gens = list(ideal.generators)
     gens = [dict(g.items) for g in gens]
     top = max((abs(c) for g in gens for c in g.values()), default=0)
-    if not ring.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS):
-        basis = _traced(ring, gens)
-        if basis is not None:
+    p = _TRACE_PRIME
+    # the trace (module docstring); a lead coefficient that vanishes mod p
+    # would change the generators' leads, so such a prime is not used
+    if (not ring.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS)
+            and all(g[max(g)] % p for g in gens)):
+        _, zero = _loop(PolyRing(ring.variables, GF(p), ring.order),
+                        [{m: c % p for m, c in g.items() if c % p}
+                         for g in gens])
+        G, _ = _loop(ring, gens, zero)
+        basis = GroebnerBasis(ring, _interreduce(ring, G), True)
+        if (basis.verify_buchberger_criterion()
+                and not any(_reduce(ring, g, basis._views)[0] for g in gens)):
             return basis
     G, _ = _loop(ring, gens)
     basis = GroebnerBasis(ring, _interreduce(ring, G))
     if audit:
         basis.audit = basis.verify_buchberger_criterion()
     return basis
-
-
-def _traced(ring, gens):
-    """The traced basis over QQ, or None if the trace cannot be used or its
-    basis fails either check (module docstring)."""
-    p = _TRACE_PRIME
-    if any(g[max(g)] % p == 0 for g in gens):
-        return None
-    _, trace = _loop(PolyRing(ring.variables, GF(p), ring.order),
-                     [{m: c % p for m, c in g.items() if c % p} for g in gens])
-    run = _loop(ring, gens, trace)
-    if run is None:
-        return None
-    basis = GroebnerBasis(ring, _interreduce(ring, run[0]), True)
-    if (basis.verify_buchberger_criterion()
-            and not any(_reduce(ring, g, basis._views)[0] for g in gens)):
-        return basis
-    return None
 
 
 def _interreduce(ring, divisors):

@@ -581,6 +581,12 @@ BAD_INPUTS = {
                             "input error: unknown variable 'y0' (at position 0)"),
     "gb-duplicate-vars": (("gb", "x0", "--vars", "x0,x0"), None, 2,
                           "input error: duplicate variable names"),
+    "gb-zero-denominator": (("gb", "1/0*x0"), None, 2,
+                            "input error: zero denominator (at position 2)"),
+    "gb-missing-exponent": (("gb", "x0^"), None, 2,
+                            "input error: expected 'int', found '' (at position 3)"),
+    "gb-no-generators": (("gb", ","), None, 2, "input error: no generators given"),
+    "nf-no-generators": (("nf", ",", "x0"), None, 2, "input error: no generators given"),
     "nf-parse": (("nf", "x0", "x0+*1"), None, 2,
                  "input error: expected variable or '(', found '*' (at position 3)"),
     "nf-exponent-cap": (("nf", "x0", "x0^70000"), None, 2,

@@ -105,6 +105,20 @@ def test_zero_ideal(ring2):
     assert ideal_membership(ring2.zero(), basis)
 
 
+def test_zero_ideal_without_generators(ring2):
+    with pytest.raises(ValueError, match="cannot infer ring for the zero ideal"):
+        Ideal.spanned_by([])
+    x0, _ = ring2.gens()
+    zero = Ideal.spanned_by([], ring=ring2)
+    basis = buchberger(zero)
+    assert len(basis) == 0
+    # answered before the power loop, which would form x0^8 here
+    assert radical_membership(x0, zero, 8) is None
+    assert radical_membership(ring2.zero(), zero, 8) == 1
+    assert is_zero_dimensional_affine(basis) is False
+    assert normal_form(x0 + 1, basis) == x0 + 1
+
+
 def test_normal_form_examples(ring2):
     x0, x1 = ring2.gens()
     basis = buchberger(Ideal([x0, x1]))
@@ -526,9 +540,9 @@ def _count_loops(monkeypatch):
     calls = []
     loop = groebner._loop
 
-    def counting(engine, gens, trace=None):
-        run = loop(engine, gens, trace)
-        calls.append((bool(engine.modulus), run))
+    def counting(ring, gens, skip=frozenset()):
+        run = loop(ring, gens, skip)
+        calls.append((bool(ring.modulus), run))
         return run
 
     monkeypatch.setattr(groebner, "_loop", counting)
@@ -581,22 +595,26 @@ def test_a_corrupt_trace_falls_back_to_the_same_basis(monkeypatch,
     calls = _count_loops(monkeypatch)
     loop = groebner._loop
 
-    def corrupting(engine, gens, trace=None):
-        run = loop(engine, gens, trace)
-        if engine.modulus:
-            # one pair that appended an element is marked as a zero pair
-            outcomes = run[1]
-            outcomes[next(ij for ij, lead in outcomes.items()
-                          if lead is not None)] = None
-        return run
+    def corrupting(ring, gens, skip=frozenset()):
+        G, zero = loop(ring, gens, skip)
+        if ring.modulus:
+            # the least pair of the generators that is not a zero pair is
+            # taken before any element is appended, and it appends one; it
+            # is marked as a zero pair
+            pairs = {}
+            for t in range(len(gens)):
+                pairs = groebner._update_pairs(ring, G, pairs, t)
+            zero.add(min((L, ij) for ij, L in pairs.items()
+                         if ij not in zero)[1])
+        return G, zero
 
     monkeypatch.setattr(groebner, "_loop", corrupting)
     basis = buchberger(bound_3000_jacobian, audit=True)
     assert basis.polys == expected
     assert basis.audit is True
-    # the traced QQ run departs from the trace, then the plain run
+    # the traced QQ run completes and fails the checks, then the plain run
     assert [(modular, run is None) for modular, run in calls] == [
-        (True, False), (False, True), (False, False)]
+        (True, False), (False, False), (False, False)]
 
 
 def test_traced_basis_matches_the_plain_basis(make_rng):

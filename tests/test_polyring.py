@@ -13,6 +13,7 @@ from cuspquartics.polyring import (
     ExponentOverflowError,
     ParseError,
     PolyRing,
+    PrimeField,
     RingMismatchError,
 )
 
@@ -329,6 +330,18 @@ def test_prime_field_order_must_be_an_int():
         assert field.p == 7 and type(field.p) is int
         assert field.convert(10) == 3 and type(field.convert(10)) is int
         assert type(field.convert(Fraction(1, 2))) is int
+
+
+def test_prime_field_conversions_and_identity():
+    field = GF(7)
+    assert field.convert("3/2") == 5
+    for value in (1.5, None):
+        with pytest.raises(TypeError):
+            field.convert(value)
+    with pytest.raises(ZeroDivisionError):
+        field.invert(7)
+    assert field == PrimeField(7) and hash(field) == hash(PrimeField(7))
+    assert repr(field) == "GF(7)"
 
 
 def test_hash_and_equality(ring):
