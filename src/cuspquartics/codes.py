@@ -8,9 +8,10 @@ Bonisoli's theorem (Ars Combin. 18, 1984) a two-dimensional ternary code
 whose nonzero words all have weight 3m is a replicated [4, 2, {3}] simplex
 code: its support is split into four blocks of size m, one per point of
 PG(1, 3).  The enumeration builds the support families from these set
-partitions directly and filters them by symmetry invariance, pairwise
-overlap and coplanarity, read from integer 4x4 determinants; points are
-keyed by primitive integer vectors, so the layer needs no ``geometry``.
+partitions directly (two supports of a family meet in exactly 2m
+coordinates) and filters them by symmetry invariance and coplanarity, read
+from integer 4x4 determinants; points are keyed by primitive integer
+vectors, so the layer needs no ``geometry``.
 """
 
 import operator
@@ -282,18 +283,18 @@ def enumerate_divisible_families(config):
     """Candidate three-divisible support families on a configuration.
 
     Takes the support family of every 2-dimensional constant-weight-6 code,
-    keeps those that are invariant under the symmetry group, overlap
-    pairwise in at most 4 indices and contain no coplanar 5-subset, and
-    returns them sorted.  These are the necessary conditions; the output is
-    a superset of the true three-divisible families.
+    keeps those that are invariant under the symmetry group and contain no
+    coplanar 5-subset, and returns them sorted.  These are the necessary
+    conditions; the output is a superset of the true three-divisible
+    families.  Two supports of a family, S minus two of its four disjoint
+    blocks of size 2, always meet in exactly 4 indices, so the overlap
+    bound needs no check.
     """
     points = config.points
     coplanar5 = {frozenset(s) for s in coplanar_subsets(points, 5)}
     kept = []
     for family in constant_weight_families(len(points), 6):
         if not _symmetry_invariant(family, config.symmetries):
-            continue
-        if any(len(a & b) > 4 for a, b in combinations(family, 2)):
             continue
         if any(c <= s for s in family for c in coplanar5):
             continue

@@ -18,10 +18,12 @@ integer, whose order is the term order and whose sum is the product.  A
 pair is keyed by the packed lcm of its leads, so the criteria and the
 selection compare ints.  Divisors are ``PolyRing.view``s: content-free over
 QQ, where a reduction step scales the work by a gcd cofactor instead of
-dividing, with content removed on the way, and monic over GF(p), where no
-step scales.  Zero tests (membership, radical exponents, the S-pair audit)
-read that primitive remainder directly; ``normal_form`` divides it by the
-unit the reducer tracked, so remainders exposed to callers are exact.  A
+dividing, and monic over GF(p), where no step scales.  The reducer removes
+no content.  Zero tests (membership, radical exponents, the S-pair audit)
+read its remainder directly; a remainder that is kept is normalised where
+it is kept, by ``PolyRing.view`` (a new basis element) or ``PolyRing.make``
+(``normal_form``, which divides by the scale the reducer tracked, and the
+inter-reduced basis), so remainders exposed to callers are exact.  A
 ``GroebnerBasis`` builds its elements' views once (``_views``), and every
 reduction modulo it reads them.  The audit checks the pairs that the
 criteria keep when they are replayed over the basis.
@@ -40,7 +42,6 @@ whatever the prime did.  A failed check falls through to the plain run.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 from .polyring import GF, PolyRing, RingMismatchError
@@ -167,21 +168,22 @@ def _spair(ring, top, di, dj):
 
 
 def _reduce(ring, p, divisors):
-    """(r, unit): remainder r of p under full division by ``divisors``.
+    """(r, scale): remainder r of p under full division by ``divisors``.
 
     At every step the first divisor whose leading monomial divides the
     current term is used, which makes the remainder deterministic; with a
-    Groebner basis it is the normal form.  r is ``unit`` times the exact
-    remainder, for a positive rational unit; over QQ r is content-free,
-    over GF(p) unit is 1.
+    Groebner basis it is the normal form.  r is ``scale`` times the exact
+    remainder, for the positive int scale that the work was multiplied by,
+    the product of the gcd cofactors of the divisors' leading coefficients;
+    over GF(p), where divisors are monic, scale is 1.  Nothing is divided
+    out here: the callers that keep r normalise it.
     """
     modulus, low, guard = ring.modulus, ring.low, ring.guard
     work = dict(p)
     remainder = {}
     heap = [-m for m in work]
     heapq.heapify(heap)
-    num = den = 1
-    steps = 0
+    scale = 1
     while heap:
         lm = -heapq.heappop(heap)
         c = work.get(lm)
@@ -198,10 +200,11 @@ def _reduce(ring, p, divisors):
         ring.check_cap(q + dpeak)
         g = gcd(c, dlc)
         a, b = c // g, dlc // g
+        # keeps scale positive; a negative lead would rescale at every step
         if b < 0:
             a, b = -a, -b
         if b != 1:
-            num *= b
+            scale *= b
             for m in work:
                 work[m] *= b
             for m in remainder:
@@ -217,21 +220,7 @@ def _reduce(ring, p, divisors):
                 work[mm] = s
             else:
                 work.pop(mm, None)
-        steps += 1
-        if not modulus and steps % 64 == 0 and work:
-            g = gcd(*work.values(), *remainder.values())
-            if g > 1:
-                den *= g
-                for m in work:
-                    work[m] //= g
-                for m in remainder:
-                    remainder[m] //= g
-    if not modulus and remainder:
-        g = gcd(*remainder.values())
-        if g > 1:
-            den *= g
-            remainder = {m: c // g for m, c in remainder.items()}
-    return remainder, Fraction(num, den)
+    return remainder, scale
 
 
 def _divisors(g, basis):
@@ -253,9 +242,8 @@ def normal_form(g, basis):
     divisors = _divisors(g, basis)
     if not divisors:
         return g
-    r, unit = _reduce(g.ring, dict(g.items), divisors)
-    return g.ring.make({m: c * unit.denominator for m, c in r.items()},
-                       unit.numerator * g.den)
+    r, scale = _reduce(g.ring, dict(g.items), divisors)
+    return g.ring.make(r, scale * g.den)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +401,9 @@ def radical_membership(g, ideal, p_max):
     r, _ = _reduce(ring, dict(items), divisors)
     p = 1
     while r and p < p_max:
-        r, _ = _reduce(ring, ring.combine((m, c, items, peak)
+        # r times g over r's content, so the chain's coefficients stay small
+        k = gcd(*r.values())
+        r, _ = _reduce(ring, ring.combine((m, c // k, items, peak)
                                           for m, c in r.items()), divisors)
         p += 1
     return None if r else p

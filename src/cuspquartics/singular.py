@@ -414,10 +414,7 @@ def forms_through_points(points, degree):
     for p in points:
         coords = p.coords if isinstance(p, ProjectivePoint) else tuple(map(QQ.convert, p))
         rows.append([prod(c ** e for c, e in zip(coords, m)) for m in mons])
-    kernel = linalg.nullspace(rows)
-    if not kernel:
-        return []
-    canonical, _ = linalg.rref(kernel)
+    canonical, _ = linalg.rref(linalg.nullspace(rows))
     basis = []
     for row in canonical:
         ints = linalg.primitive_integer_vector(row)

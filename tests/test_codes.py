@@ -399,3 +399,16 @@ def test_no_three_dimensional_constant_weight_extension():
         assert len(reps) == 4
         joint = compat[reps[0]] & compat[reps[1]] & compat[reps[2]] & compat[reps[3]]
         assert not joint
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_weight_six_supports_meet_in_exactly_four(n):
+    # S minus two of four disjoint blocks of size 2 in an 8-set S
+    families = constant_weight_families(n, 6)
+    assert families
+    for family in families:
+        assert {len(a & b) for a, b in combinations(family, 2)} == {4}
+
+
+def test_no_constant_weight_families_of_weight_zero():
+    assert constant_weight_families(8, 0) == []

@@ -30,7 +30,7 @@ from cuspquartics.geometry import (
     twisted_cubic_example,
     twisted_cubic_map,
 )
-from cuspquartics.polyring import Polynomial
+from cuspquartics.polyring import PolyRing, Polynomial
 
 import support
 
@@ -625,3 +625,18 @@ def test_type_one_search_substitutes_once(monkeypatch):
     search = cusp_candidates(family)
     assert calls == [family.contact_quadric]
     assert len(search.points) == 6
+
+
+def test_build_family_checks_forms_and_rings(ring, gens):
+    x0, x1, x2, x3 = gens
+    with pytest.raises(GeometryError, match="residual must be a nonzero quadric"):
+        build_family(x0, x1, x2, x3, ring.zero())
+    lex = ring.with_order("lex")
+    with pytest.raises(GeometryError, match="all forms must share one ring"):
+        build_family(x0, lex.gen(1), x2, x3, x2 * x3)
+    with pytest.raises(GeometryError, match="residual quadric must share the forms' ring"):
+        build_family(x0, x1, x2, x3, lex.gen(2) * lex.gen(3))
+    y0, y1, y2 = PolyRing(("y0", "y1", "y2")).gens()
+    with pytest.raises(GeometryError,
+                       match="the construction lives in 4 projective variables"):
+        build_family(y0, y1, y2, y0 + y1, y2 * y2)

@@ -22,6 +22,7 @@ from cuspquartics.polyring import (
     QQ,
     ExponentOverflowError,
     PolyRing,
+    RingMismatchError,
 )
 
 import support
@@ -667,3 +668,35 @@ def test_bases_and_normal_forms_are_canonical(make_rng, domain):
         g = support.random_polynomial(rng, ring, max_degree=4, max_terms=5)
         for f in (*basis, normal_form(g, basis), normal_form(g, gens)):
             support.assert_canonical(f)
+
+
+def test_input_checks_keep_their_errors(ring2):
+    x0, x1 = ring2.gens()
+    zero = Ideal.spanned_by([ring2.zero()])
+    assert zero.ring == ring2 and zero.generators == ()
+    with pytest.raises(ValueError, match="s_polynomial needs nonzero inputs"):
+        s_polynomial(x0, ring2.zero())
+    lex = ring2.with_order("lex")
+    with pytest.raises(RingMismatchError, match="s_polynomial needs a common ring"):
+        s_polynomial(x0, lex.gen(1))
+    with pytest.raises(RingMismatchError, match="polynomial and basis rings differ"):
+        normal_form(x0, buchberger([lex.gen(1)]))
+    with pytest.raises(RingMismatchError, match="polynomial and divisor rings differ"):
+        normal_form(x0, [x1, lex.gen(1)])
+    with pytest.raises(TypeError, match="expected a GroebnerBasis"):
+        is_zero_dimensional_affine([x0])
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("order", ["grevlex", "lex", "grlex"])
+def test_normal_form_modulo_a_linear_form_is_a_substitution(order, domain):
+    # x0 leads both divisors, so the remainder is free of x0 and equals P
+    # with the root of the divisor in x0 substituted: an oracle that runs
+    # no reducer, against 60 rescaling steps per reduction over QQ
+    ring = PolyRing(("x0", "x1"), domain, order)
+    x0, x1 = ring.gens()
+    P = 5 * (x0 + x1) ** 60 + x0 ** 3 * x1
+    assert normal_form(P, [2 * x0 - 3]) == P.substitute(
+        [ring.constant(Fraction(3, 2)), x1])
+    assert normal_form(P, [3 * x0 - 2 * x1]) == P.substitute(
+        [x1 * Fraction(2, 3), x1])

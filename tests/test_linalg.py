@@ -120,3 +120,7 @@ def test_det_matches_leibniz_expansion():
         singular += expected == 0
         assert linalg.det(m) == expected
     assert singular >= 20
+
+
+def test_nullspace_of_no_rows():
+    assert linalg.nullspace([]) == []

@@ -503,3 +503,31 @@ def test_ring_arithmetic_matches_the_frozen_digests(order, domain):
     for i, (line, digest) in enumerate(zip(lines, frozen)):
         assert _digest(line) == digest, (i, line)
     assert len(lines) == len(frozen) == 20
+
+
+def test_input_checks_keep_their_errors(ring, gens):
+    x0, x1, x2, _ = gens
+    with pytest.raises(ValueError, match="unknown term order 'deglex'"):
+        PolyRing(("x0",), QQ, "deglex")
+    for read in (ring.zero().leading_monomial, ring.zero().leading_coefficient):
+        with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+            read()
+    with pytest.raises(TypeError, match="expected Polynomial, got float"):
+        x0 * 1.5
+    assert 3 - x0 == -x0 + 3 and (3 - x0).evaluate((1, 0, 0, 0)) == 2
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        x0 ** -1
+    for index in (4, -1):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+            x0.partial_derivative(index)
+    with pytest.raises(TypeError, match="images must be polynomials"):
+        x0.substitute((x0, x1, 2, x2))
+    other = PolyRing(ring.variables, QQ, "lex")
+    with pytest.raises(RingMismatchError, match="images live in different rings"):
+        x0.substitute((x0, x1, x2, other.gen(3)))
+    with pytest.raises(ValueError, match="expected 4 coordinates"):
+        x0.evaluate((1, 2, 3))
+    mod7 = PolyRing(ring.variables, GF(7))
+    with pytest.raises(RingMismatchError,
+                       match=r"cannot convert coefficients from GF\(7\) to QQ"):
+        ring.convert(mod7.gen(0))

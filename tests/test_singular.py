@@ -442,3 +442,17 @@ def test_floats_are_refused_where_exact_numbers_are_read(name):
     for x in floats:
         with pytest.raises(TypeError):
             call(x)
+
+
+def test_is_singular_point_needs_a_form(ring):
+    x0, x1, _, _ = ring.gens()
+    with pytest.raises(ValueError, match="expected a homogeneous form"):
+        is_singular_point(x0 ** 2 - x1, ProjectivePoint((0, 0, 0, 1)))
+
+
+def test_forms_through_no_points_and_through_a_frame(ring):
+    # no points: every monomial; the four coordinate points: no linear form
+    assert [str(f) for f in forms_through_points([], 1)] == ["x0", "x1", "x2", "x3"]
+    frame = [ProjectivePoint(tuple(int(i == j) for j in range(4))) for i in range(4)]
+    assert forms_through_points(frame, 1) == []
+    assert len(forms_through_points(frame, 2)) == 6
