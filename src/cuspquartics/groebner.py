@@ -176,7 +176,10 @@ def _reduce(ring, p, divisors):
     remainder, for the positive int scale that the work was multiplied by,
     the product of the gcd cofactors of the divisors' leading coefficients;
     over GF(p), where divisors are monic, scale is 1.  Nothing is divided
-    out here: the callers that keep r normalise it.
+    out here: the callers that keep r normalise it.  Over GF(p) the work
+    holds ints congruent to the residues, which a term's residue replaces
+    only when the term is popped; a term that is 0 there (mod p) is dropped,
+    so r holds residues in [1, p), as over QQ it holds nonzero ints.
     """
     modulus, low, guard = ring.modulus, ring.low, ring.guard
     work = dict(p)
@@ -186,8 +189,11 @@ def _reduce(ring, p, divisors):
     scale = 1
     while heap:
         lm = -heapq.heappop(heap)
-        c = work.get(lm)
-        if c is None:
+        c = work[lm]
+        if modulus:
+            c %= modulus
+        if not c:
+            del work[lm]
             continue
         f = lm & low
         for dlm, dlc, ditems, dpeak in divisors:
@@ -195,7 +201,8 @@ def _reduce(ring, p, divisors):
                 q = lm - dlm
                 break
         else:
-            remainder[lm] = work.pop(lm)
+            remainder[lm] = c
+            del work[lm]
             continue
         ring.check_cap(q + dpeak)
         g = gcd(c, dlc)
@@ -209,17 +216,15 @@ def _reduce(ring, p, divisors):
                 work[m] *= b
             for m in remainder:
                 remainder[m] *= b
+        # the lead term cancels (mod p over GF(p)) and is dropped below
         for m, k in ditems:
             mm = q + m
-            s = work.get(mm, 0) - a * k
-            if modulus:
-                s %= modulus
-            if s:
-                if mm not in work:
-                    heapq.heappush(heap, -mm)
-                work[mm] = s
+            if mm in work:
+                work[mm] -= a * k
             else:
-                work.pop(mm, None)
+                work[mm] = -a * k
+                heapq.heappush(heap, -mm)
+        del work[lm]
     return remainder, scale
 
 
@@ -256,18 +261,19 @@ def _update_pairs(ring, divisors, pairs, t):
     Implements Buchberger's product and chain criteria; ``divisors`` holds
     the divisors including the new element at index t.  ``pairs`` maps
     (i, j) to the packed lcm L of its leads, which is also its place in the
-    term order.
+    term order.  The lcm of each earlier lead with the new one is taken
+    once, and serves both the chain test on the old pairs and the grouping
+    of the new ones.
     """
     lmf = divisors[t][0]
+    lcms = [ring.peak((d[0], lmf)) for d in divisors[:t]]
     kept = {}
     for (i, j), lij in pairs.items():
-        if (not ring.divides(lmf, lij)
-                or lij == ring.peak((divisors[i][0], lmf))
-                or lij == ring.peak((divisors[j][0], lmf))):
+        if not ring.divides(lmf, lij) or lij == lcms[i] or lij == lcms[j]:
             kept[i, j] = lij
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(ring.peak((divisors[i][0], lmf)), []).append(i)
+    for i, L in enumerate(lcms):
+        by_lcm.setdefault(L, []).append(i)
     # the term order extends divisibility, so divisors of L come first
     minimal = []
     for L in sorted(by_lcm):

@@ -238,7 +238,20 @@ class PolyRing:
         return not ((b & self.low) - (a & self.low)) & self.guard
 
     def peak(self, monomials):
-        return self.pack(map(max, zip(*map(self.unpack, monomials))))
+        """The exponentwise maximum of packed monomials (0 for none), taken
+        field by field on their low parts: t marks the fields where the
+        running peak a is at least b (no field borrows, as the guard bits
+        of a valid monomial are clear), t - (t >> (W - 1)) widens each mark
+        to its field's mask, and the larger fields are kept; the result is
+        packed once."""
+        low, guard, shift = self.low, self.guard, _W - 1
+        a = 0
+        for m in monomials:
+            b = m & low
+            t = ((a | guard) - b) & guard
+            keep = t - (t >> shift)
+            a = (a & keep) | (b & ~keep)
+        return self.pack(self.unpack(a))
 
     def check_cap(self, m):
         if ((m & self.low) + self.over) & self.guard:
@@ -312,9 +325,6 @@ class PolyRing:
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
-
-    def var(self, name):
-        return self.gen(self._var_index[name])
 
     def monomial(self, exps, coeff=1):
         return self.from_packed({self.key(exps): coeff})
@@ -714,14 +724,39 @@ class _Parser:
             sign = -1 if self.advance()[0] == "-" else 1
 
     def term(self):
+        """A product: the powers of variables are gathered into one packed
+        monomial m and only parenthesised factors are multiplied as
+        polynomials (into f, with the peak of f's monomials the sum of the
+        factors' peaks).  The cap is checked at each factor, on m times
+        that peak, where multiplying factor by factor would raise: so only
+        while the product is nonzero."""
+        ring = self.ring
         if self.peek()[0] == "int":
-            f = self.ring.constant(self.coeff())
-        else:
-            f = self.factor()
-        while self.peek()[0] == "*":
+            f = ring.constant(self.coeff())
+            self.no_power()
+            if self.peek()[0] != "*":
+                return f
             self.advance()
-            f = f * self.factor()
-        return f
+        else:
+            f = ring.one()
+        m = peak = 0
+        while True:
+            g = self.factor()
+            if type(g) is int:
+                m += g
+            else:
+                f = f * g
+                peak += ring.peak(n for n, _ in g.items)
+            if f:
+                ring.check_cap(m + peak)
+            if self.peek()[0] != "*":
+                return ring.make({m + n: c for n, c in f.items}, f.den)
+            self.advance()
+
+    def no_power(self):
+        tok = self.peek()
+        if tok[0] == "^":
+            raise ParseError("'^' must follow a variable", tok[2])
 
     def integer(self):
         tok = self.expect("int")
@@ -742,6 +777,8 @@ class _Parser:
         return Fraction(num)
 
     def factor(self):
+        """A parenthesised sum, as a polynomial, or a variable and its
+        power, as a packed monomial."""
         tok = self.advance()
         if tok[0] == "(":
             self.depth += 1
@@ -753,17 +790,19 @@ class _Parser:
             if closing[0] != ")":
                 raise ParseError("unbalanced parenthesis", closing[2])
             self.depth -= 1
+            self.no_power()
             return f
         if tok[0] == "ident":
-            if tok[1] not in self.ring._var_index:
+            i = self.ring._var_index.get(tok[1])
+            if i is None:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
-            v = self.ring.var(tok[1])
+            e = 1
             if self.peek()[0] == "^":
                 self.advance()
                 e = self.integer()
                 if e > EXPONENT_CAP:
                     raise ExponentOverflowError(
                         f"exponent exceeds cap {EXPONENT_CAP}")
-                return v ** e
-            return v
+                self.no_power()
+            return e * self.ring.units[i]
         raise ParseError(f"expected variable or '(', found {tok[1]!r}", tok[2])

@@ -9,8 +9,10 @@ the tests.  So do the references the packed code is checked against: the
 exponent-tuple term orders and monomial arithmetic (``order_key``,
 ``monomial_mul``, ``monomial_div``, ``monomial_lcm``),
 ``local_expansion``, the substitution route to the local pieces that
-``singular.LocalData`` reads from derivatives, and ``s_polynomial_formula``,
-the textbook S-polynomial in ``Polynomial`` arithmetic.
+``singular.LocalData`` reads from derivatives, ``s_polynomial_formula``,
+the textbook S-polynomial in ``Polynomial`` arithmetic, and the earlier
+definitions of the peak and the pair update on exponent tuples
+(``peak_formula``, ``update_pairs_formula``).
 """
 
 from fractions import Fraction
@@ -57,6 +59,37 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def peak_formula(ring, monomials):
+    """The exponentwise maximum of packed monomials, through exponent
+    tuples: ``PolyRing.peak`` as it was defined before its packed kernel."""
+    return ring.pack(map(max, zip(*map(ring.unpack, monomials))))
+
+
+def update_pairs_formula(ring, divisors, pairs, t):
+    """``groebner._update_pairs`` as it was before it took each lcm once:
+    the Gebauer-Moeller update, with lcms recomputed where they are read."""
+    lmf = divisors[t][0]
+    kept = {}
+    for (i, j), lij in pairs.items():
+        if (not ring.divides(lmf, lij)
+                or lij == peak_formula(ring, (divisors[i][0], lmf))
+                or lij == peak_formula(ring, (divisors[j][0], lmf))):
+            kept[i, j] = lij
+    by_lcm = {}
+    for i in range(t):
+        by_lcm.setdefault(peak_formula(ring, (divisors[i][0], lmf)), []).append(i)
+    minimal = []
+    for L in sorted(by_lcm):
+        if not any(ring.divides(M, L) for M in minimal):
+            minimal.append(L)
+    for L in minimal:
+        group = by_lcm[L]
+        if any(L == divisors[i][0] + lmf for i in group):
+            continue
+        kept[min(group), t] = L
+    return kept
 
 
 def s_polynomial_formula(f, g):

@@ -586,6 +586,17 @@ BAD_INPUTS = {
     "gb-missing-exponent": (("gb", "x0^"), None, 2,
                             "input error: expected 'int', found '' (at position 3)"),
     "gb-no-generators": (("gb", ","), None, 2, "input error: no generators given"),
+    # '^' takes a variable and a non-negative integer; powers of sums,
+    # integers and powers are not in the grammar
+    "gb-power-of-a-sum": (("gb", "(x0+1)^2"), None, 2,
+                          "input error: '^' must follow a variable (at position 6)"),
+    "gb-power-of-a-nested-sum": (("gb", "((x0+1)^2)"), None, 2,
+                                 "input error: '^' must follow a variable "
+                                 "(at position 7)"),
+    "gb-power-of-an-integer": (("gb", "2^3*x0"), None, 2,
+                               "input error: '^' must follow a variable (at position 1)"),
+    "gb-power-of-a-power": (("gb", "x0^2^3"), None, 2,
+                            "input error: '^' must follow a variable (at position 4)"),
     "nf-no-generators": (("nf", ",", "x0"), None, 2, "input error: no generators given"),
     "nf-parse": (("nf", "x0", "x0+*1"), None, 2,
                  "input error: expected variable or '(', found '*' (at position 3)"),

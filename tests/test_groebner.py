@@ -21,6 +21,7 @@ from cuspquartics.polyring import (
     GF,
     QQ,
     ExponentOverflowError,
+    Polynomial,
     PolyRing,
     RingMismatchError,
 )
@@ -655,19 +656,59 @@ def test_trace_gate_on_coefficient_bits(monkeypatch, ring2, bits):
 
 
 
-@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)],
-                         ids=["QQ", "GF7", "GF32003"])
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003), GF(2), GF(3)],
+                         ids=["QQ", "GF7", "GF32003", "GF2", "GF3"])
 def test_bases_and_normal_forms_are_canonical(make_rng, domain):
+    # over GF(2) and GF(3) the reducer's lazy sums meet multiples of p most
+    # often; its raw remainder, with the scale it tracked as denominator
+    # (1 over GF(p)), must hold residues too
     rng = make_rng(91)
     ring = PolyRing(("x0", "x1", "x2"), domain)
+    # half the draws of GF(2) are 0, so its polynomials get more terms
+    small = ring.modulus in (2, 3)
     for _ in range(15):
-        gens = [support.random_nonzero(rng, ring, max_degree=2, max_terms=3,
-                                       coeff_bound=4)
+        gens = [support.random_nonzero(rng, ring, max_degree=2,
+                                       max_terms=6 if small else 3,
+                                       coeff_bound=4, fractions=not small)
                 for _ in range(2)]
         basis = buchberger(Ideal(gens))
-        g = support.random_polynomial(rng, ring, max_degree=4, max_terms=5)
-        for f in (*basis, normal_form(g, basis), normal_form(g, gens)):
+        g = support.random_polynomial(rng, ring, max_degree=4,
+                                      max_terms=10 if small else 5,
+                                      fractions=not small)
+        remainders = []
+        for divisors in (basis._views, groebner._views(ring, gens)):
+            r, _ = groebner._reduce(ring, dict(g.items), divisors)
+            remainders.append(
+                Polynomial(ring, tuple(sorted(r.items(), reverse=True)), 1))
+        for f in (*basis, *remainders, normal_form(g, basis),
+                  normal_form(g, gens)):
             support.assert_canonical(f)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_pair_update_matches_the_earlier_definition(make_rng, ex61_basis,
+                                                    order):
+    # seeded lead sequences, with repeated and dividing leads among them,
+    # and the leads of the example's grevlex basis
+    rng = make_rng(92)
+    sequences = []
+    for nvars in (2, 3, 4):
+        ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), QQ, order)
+        sequences += [(ring, [support.random_monomial(rng, nvars, 4)
+                              for _ in range(rng.randint(1, 14))])
+                      for _ in range(20)]
+    sequences.append((ex61_basis.ring.with_order(order),
+                      ex61_basis.leading_monomials()))
+    pairs_seen = 0
+    for ring, leads in sequences:
+        divisors, pairs, expected = [], {}, {}
+        for t, lead in enumerate(leads):
+            divisors.append(ring.view({ring.key(lead): 1}))
+            pairs = groebner._update_pairs(ring, divisors, pairs, t)
+            expected = support.update_pairs_formula(ring, divisors, expected, t)
+            assert pairs == expected, (ring, leads[:t + 1])
+            pairs_seen += len(pairs)
+    assert pairs_seen > 500
 
 
 def test_input_checks_keep_their_errors(ring2):

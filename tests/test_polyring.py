@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cuspquartics.polyring import (
+    EXPONENT_CAP,
     GF,
     QQ,
     DivisionError,
@@ -531,3 +532,76 @@ def test_input_checks_keep_their_errors(ring, gens):
     with pytest.raises(RingMismatchError,
                        match=r"cannot convert coefficients from GF\(7\) to QQ"):
         ring.convert(mod7.gen(0))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_peak_matches_the_exponent_tuple_definition(make_rng, order):
+    rng = make_rng(61)
+    draws = (lambda: 0, lambda: EXPONENT_CAP, lambda: rng.randint(0, 3),
+             lambda: rng.randint(0, EXPONENT_CAP))
+    cases = 0
+    for nvars in range(1, 7):
+        ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), QQ, order)
+        assert ring.peak([]) == support.peak_formula(ring, []) == 0
+        for _ in range(40):
+            count = rng.choice((1, 2, rng.randint(3, 12)))
+            # the cap is drawn in a quarter of the fields
+            monomials = [ring.key([rng.choice(draws)() for _ in range(nvars)])
+                         for _ in range(count)]
+            expected = support.peak_formula(ring, monomials)
+            assert ring.peak(monomials) == ring.peak(iter(monomials)) == expected
+            assert all(ring.divides(m, expected) for m in monomials)
+            cases += 1
+    assert cases == 240
+
+
+def _product_term(rng, ring):
+    """Text of a seeded product term and the same product in Polynomial
+    arithmetic: a coefficient (maybe rational) or none, then variables,
+    repeated ones and ^0 among them, and parenthesised sums in any order."""
+    texts, product = [], ring.one()
+    if rng.random() < 0.6:
+        c = Fraction(rng.randint(0, 30), rng.choice((1, 1, 2, 3)))
+        texts.append(str(c))
+        product = ring.constant(c)
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            f = support.random_polynomial(rng, ring, max_degree=3, max_terms=3)
+            texts.append(f"({f})")
+            product = product * f
+        else:
+            i = rng.randrange(ring.nvars)
+            e = rng.choice((None, 0, 1, 2, rng.randint(3, 40)))
+            texts.append(ring.variables[i] + ("" if e is None else f"^{e}"))
+            product = product * ring.gen(i) ** (1 if e is None else e)
+    return "*".join(texts), product
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=str)
+def test_parsed_products_match_polynomial_arithmetic(make_rng, domain):
+    rng = make_rng(62)
+    ring = PolyRing(("x0", "x1", "x2"), domain)
+    for _ in range(150):
+        text, expected = _product_term(rng, ring)
+        assert ring.parse(text) == expected, text
+        terms = [_product_term(rng, ring) for _ in range(3)]
+        assert (ring.parse(" - ".join(t for t, _ in terms))
+                == terms[0][1] - terms[1][1] - terms[2][1])
+
+
+def test_parsed_products_check_the_cap_at_each_factor(ring, gens):
+    # the error comes at the factor that overflows, before a later syntax
+    # error, whether the overflow meets a power or a parenthesised sum
+    for text in ("x0^40000*x0^40000", "x0^40000*x0^40000*(",
+                 "2*x0^40000*(x1 + x0^30000)*(", "(x1 + x0^30000)*x1*x0^40000*(",
+                 "(x0^30000 + 1)*(x0^40000 - x1)*("):
+        with pytest.raises(ExponentOverflowError,
+                           match="^exponent exceeds cap 65536$"):
+            ring.parse(text)
+    x0, x1 = gens[:2]
+    assert ring.parse("x0^30000*(x1 + x0^5536)*x0^30000") == (
+        x0 ** 60000 * x1 + x0 ** 65536)
+    # a product that is zero is never checked, as multiplying it factor by
+    # factor checks nothing
+    for text in ("0*x0^40000*x0^40000", "(x1 - x1)*x0^40000*x0^40000"):
+        assert ring.parse(text).is_zero()
