@@ -18,15 +18,20 @@ integer, whose order is the term order and whose sum is the product.  A
 pair is keyed by the packed lcm of its leads, so the criteria and the
 selection compare ints.  Divisors are ``PolyRing.view``s: content-free over
 QQ, where a reduction step scales the work by a gcd cofactor instead of
-dividing, and monic over GF(p), where no step scales.  The reducer removes
-no content.  Zero tests (membership, radical exponents, the S-pair audit)
-read its remainder directly; a remainder that is kept is normalised where
-it is kept, by ``PolyRing.view`` (a new basis element) or ``PolyRing.make``
-(``normal_form``, which divides by the scale the reducer tracked, and the
-inter-reduced basis), so remainders exposed to callers are exact.  A
-``GroebnerBasis`` builds its elements' views once (``_views``), and every
-reduction modulo it reads them.  The audit checks the pairs that the
-criteria keep when they are replayed over the basis.
+dividing, and monic over GF(p), where no step scales.  Over QQ the loop
+keeps them tail-reduced (Becker-Weispfenning, *Groebner Bases*, ch. 5), so
+that scale stays small: once the generators are in, and when a new lead
+divides a tail monomial, a divisor whose lead no other lead divides becomes
+its remainder modulo the others; its lead, the pairs and the trace's pair
+indices stay.  Over GF(p), where coefficients cannot grow, they stay as
+appended.  The reducer removes no content.  Zero tests (membership, radical
+exponents, the S-pair audit) read its remainder directly; a remainder that
+is kept is normalised where it is kept, by ``PolyRing.view`` (a new basis
+element) or ``PolyRing.make`` (``normal_form``, which divides by the scale
+the reducer tracked, and the inter-reduced basis), so remainders exposed to
+callers are exact.  A ``GroebnerBasis`` builds its elements' views once
+(``_views``), and every reduction modulo it reads them.  The audit checks
+the pairs that the criteria keep when they are replayed over the basis.
 
 Over QQ the loop runs as a Groebner trace (Traverso 1988) when the caller
 pays for the audit anyway (``buchberger(..., audit=True)``, the verdict in
@@ -304,8 +309,17 @@ def _loop(ring, gens, skip=frozenset()):
         G.append(ring.view(p))
         pairs = _update_pairs(ring, G, pairs, len(G) - 1)
 
+    def tail_reduce(leads):
+        for k, (lm, _, items, _) in enumerate(G):
+            if not ring.modulus and any(ring.divides(L, m) for L in leads
+                                        if L < lm for m, _ in items):
+                others = G[:k] + G[k + 1:]
+                if not any(ring.divides(d[0], lm) for d in others):
+                    G[k] = ring.view(_reduce(ring, dict(items), others)[0])
+
     for g in gens:
         append(g)
+    tail_reduce([d[0] for d in G])
     while pairs:
         # normal strategy: least lcm in the term order, then (i, j)
         L, (i, j) = min((L, ij) for ij, L in pairs.items())
@@ -315,6 +329,7 @@ def _loop(ring, gens, skip=frozenset()):
         r = _reduce(ring, _spair(ring, L, G[i], G[j]), G)[0]
         if r:
             append(r)
+            tail_reduce([G[-1][0]])
         else:
             zero.add((i, j))
     return G, zero

@@ -10,15 +10,18 @@ exponent-tuple term orders and monomial arithmetic (``order_key``,
 ``monomial_mul``, ``monomial_div``, ``monomial_lcm``),
 ``local_expansion``, the substitution route to the local pieces that
 ``singular.LocalData`` reads from derivatives, ``s_polynomial_formula``,
-the textbook S-polynomial in ``Polynomial`` arithmetic, and the earlier
+the textbook S-polynomial in ``Polynomial`` arithmetic, the earlier
 definitions of the peak and the pair update on exponent tuples
-(``peak_formula``, ``update_pairs_formula``).
+(``peak_formula``, ``update_pairs_formula``), and the Buchberger loop as it
+was before it kept the divisors tail-reduced (``loop_formula``).
+``planted_jacobian`` draws the jacobian ideal of a family with planted
+cusps, large coefficients included.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
 
-from cuspquartics import linalg
+from cuspquartics import geometry, groebner, linalg, singular
 from cuspquartics.codes import signed_word
 from cuspquartics.geometry import ProjectivePoint, fiber_change
 from cuspquartics.groebner import Ideal, buchberger
@@ -90,6 +93,65 @@ def update_pairs_formula(ring, divisors, pairs, t):
             continue
         kept[min(group), t] = L
     return kept
+
+
+def loop_formula(ring, gens, skip=frozenset()):
+    """``groebner._loop`` as it was before it kept the divisors over QQ
+    tail-reduced: each divisor stays as it was appended."""
+    G = []
+    pairs = {}
+    zero = set()
+
+    def append(p):
+        nonlocal pairs
+        G.append(ring.view(p))
+        pairs = groebner._update_pairs(ring, G, pairs, len(G) - 1)
+
+    for g in gens:
+        append(g)
+    while pairs:
+        L, (i, j) = min((L, ij) for ij, L in pairs.items())
+        del pairs[i, j]
+        if (i, j) in skip:
+            continue
+        r = groebner._reduce(ring, groebner._spair(ring, L, G[i], G[j]), G)[0]
+        if r:
+            append(r)
+        else:
+            zero.add((i, j))
+    return G, zero
+
+
+def planted_jacobian(rng, bound):
+    """The jacobian ideal of a type-I family with six cusps planted on its
+    twisted cubic.  In the coordinates u = M x of the forms (Lp, Lpp, Fp,
+    Fpp), for an integer matrix M with entries up to ``bound``, the carrier
+    curve is (a^2 b, a b^2, a^3, b^3); the contact quadric S is the product
+    of two planes through three carrier points each plus a combination of
+    the carrier quadrics, with weights up to ``bound``, so S meets the
+    carrier in the six points."""
+    ring = geometry.surface_ring()
+    x = ring.gens()
+    params = [(a, b) for a in range(-4, 5) for b in range(1, 4) if gcd(a, b) == 1]
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in x] for _ in x]
+        if linalg.rank(rows) < len(x):
+            continue
+        forms = [sum((c * xi for c, xi in zip(row, x)), ring.zero())
+                 for row in rows]
+        drawn = rng.sample(params, 6)
+        s = ring.one()
+        for three in (drawn[:3], drawn[3:]):
+            points = [(a * a * b, a * b * b, a ** 3, b ** 3) for a, b in three]
+            normal = linalg.primitive_integer_vector(linalg.nullspace(points)[0])
+            s *= sum((c * f for c, f in zip(normal, forms)), ring.zero())
+        for q in geometry.ideal_quadrics(*forms):
+            s += rng.choice((1, -1)) * rng.randint(max(1, bound // 3), bound) * q
+        try:
+            family = geometry.build_family(*forms, s - forms[0] * forms[1])
+        except geometry.GeometryError:
+            continue
+        return singular.jacobian_ideal(family.quartic)
 
 
 def s_polynomial_formula(f, g):
