@@ -22,26 +22,16 @@ dividing, and monic over GF(p), where no step scales.  Over QQ the loop
 keeps them tail-reduced (Becker-Weispfenning, *Groebner Bases*, ch. 5), so
 that scale stays small: once the generators are in, and when a new lead
 divides a tail monomial, a divisor whose lead no other lead divides becomes
-its remainder modulo the others; its lead, the pairs and the trace's pair
-indices stay.  Over GF(p), where coefficients cannot grow, they stay as
-appended.  The reducer removes no content.  Zero tests (membership, radical
-exponents, the S-pair audit) read its remainder directly; a remainder that
-is kept is normalised where it is kept, by ``PolyRing.view`` (a new basis
-element) or ``PolyRing.make`` (``normal_form``, which divides by the scale
-the reducer tracked, and the inter-reduced basis), so remainders exposed to
-callers are exact.  A ``GroebnerBasis`` builds its elements' views once
-(``_views``), and every reduction modulo it reads them.  The audit checks
-the pairs that the criteria keep when they are replayed over the basis.
-
-Over QQ the loop runs as a Groebner trace (Traverso 1988) when the caller
-pays for the audit anyway (``buchberger(..., audit=True)``, the verdict in
-``GroebnerBasis.audit``) or a generator has a coefficient of _TRACE_MIN_BITS
-bits or more.  The trace is a set of pairs to skip: a run over
-GF(_TRACE_PRIME) collects the pairs whose S-pair reduces to zero, and the
-QQ run skips them.  Its basis B lies in the ideal; it is kept only if (a) it
-passes the audit, so B is a Groebner basis of ideal(B), and (b) every
-generator reduces to zero modulo B, so B is the reduced basis of the ideal
-whatever the prime did.  A failed check falls through to the plain run.
+its remainder modulo the others; its lead and the pairs stay.  Over GF(p),
+where coefficients cannot grow, they stay as appended.  The reducer removes
+no content.  Zero tests (membership, radical exponents, the S-pair audit)
+read its remainder directly; a remainder that is kept is normalised where
+it is kept, by ``PolyRing.view`` (a new basis element) or
+``PolyRing.make`` (``normal_form``, which divides by the scale the reducer
+tracked, and the inter-reduced basis), so remainders exposed to callers are
+exact.  A ``GroebnerBasis`` builds its elements' views once (``_views``),
+and every reduction modulo it reads them.  The audit checks the pairs that
+the criteria keep when they are replayed over the basis.
 """
 
 from __future__ import annotations
@@ -49,11 +39,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from .polyring import GF, PolyRing, RingMismatchError
-
-# the trace's prime, and the coefficient size from which it runs unaudited
-_TRACE_PRIME = 32003
-_TRACE_MIN_BITS = 45
+from .polyring import RingMismatchError
 
 
 class Ideal:
@@ -97,17 +83,17 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements, sorted by leading monomial.
 
     ``audit`` is the verdict of ``verify_buchberger_criterion`` when
-    ``buchberger`` ran it on this basis, else None.  The divisor views of
-    the elements (``PolyRing.view``) are built once, here; the audit and
-    every reduction modulo the basis read them.
+    ``buchberger(..., audit=True)`` ran it on this basis, else None.  The
+    divisor views of the elements (``PolyRing.view``) are built once, here;
+    the audit and every reduction modulo the basis read them.
     """
 
     __slots__ = ("ring", "polys", "audit", "_views")
 
-    def __init__(self, ring, polys, audit=None):
+    def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
-        self.audit = audit
+        self.audit = None
         self._views = _views(ring, self.polys)
 
     def __len__(self):
@@ -293,16 +279,14 @@ def _update_pairs(ring, divisors, pairs, t):
     return kept
 
 
-def _loop(ring, gens, skip=frozenset()):
+def _loop(ring, gens):
     """Buchberger's loop on the generators' coefficient dicts.
 
-    Returns (G, zero): the divisors appended, generators first, and the set
-    of pairs whose S-pair reduced to zero.  The pairs in ``skip`` are taken
-    but not reduced.
+    Returns the divisors appended, generators first; over QQ each is kept
+    tail-reduced (module docstring).
     """
     G = []
     pairs = {}
-    zero = set()
 
     def append(p):
         nonlocal pairs
@@ -324,15 +308,11 @@ def _loop(ring, gens, skip=frozenset()):
         # normal strategy: least lcm in the term order, then (i, j)
         L, (i, j) = min((L, ij) for ij, L in pairs.items())
         del pairs[i, j]
-        if (i, j) in skip:
-            continue
         r = _reduce(ring, _spair(ring, L, G[i], G[j]), G)[0]
         if r:
             append(r)
             tail_reduce([G[-1][0]])
-        else:
-            zero.add((i, j))
-    return G, zero
+    return G
 
 
 def buchberger(ideal, order=None, audit=False):
@@ -343,28 +323,11 @@ def buchberger(ideal, order=None, audit=False):
     """
     if not isinstance(ideal, Ideal):
         ideal = Ideal.spanned_by(list(ideal))
-    ring = ideal.ring
+    ring, gens = ideal.ring, ideal.generators
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
-        gens = [ring.convert(g) for g in ideal.generators]
-    else:
-        gens = list(ideal.generators)
-    gens = [dict(g.items) for g in gens]
-    top = max((abs(c) for g in gens for c in g.values()), default=0)
-    p = _TRACE_PRIME
-    # the trace (module docstring); a lead coefficient that vanishes mod p
-    # would change the generators' leads, so such a prime is not used
-    if (not ring.modulus and (audit or top.bit_length() >= _TRACE_MIN_BITS)
-            and all(g[max(g)] % p for g in gens)):
-        _, zero = _loop(PolyRing(ring.variables, GF(p), ring.order),
-                        [{m: c % p for m, c in g.items() if c % p}
-                         for g in gens])
-        G, _ = _loop(ring, gens, zero)
-        basis = GroebnerBasis(ring, _interreduce(ring, G), True)
-        if (basis.verify_buchberger_criterion()
-                and not any(_reduce(ring, g, basis._views)[0] for g in gens)):
-            return basis
-    G, _ = _loop(ring, gens)
+        gens = [ring.convert(g) for g in gens]
+    G = _loop(ring, [dict(g.items) for g in gens])
     basis = GroebnerBasis(ring, _interreduce(ring, G))
     if audit:
         basis.audit = basis.verify_buchberger_criterion()

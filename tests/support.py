@@ -95,12 +95,11 @@ def update_pairs_formula(ring, divisors, pairs, t):
     return kept
 
 
-def loop_formula(ring, gens, skip=frozenset()):
+def loop_formula(ring, gens):
     """``groebner._loop`` as it was before it kept the divisors over QQ
     tail-reduced: each divisor stays as it was appended."""
     G = []
     pairs = {}
-    zero = set()
 
     def append(p):
         nonlocal pairs
@@ -112,14 +111,10 @@ def loop_formula(ring, gens, skip=frozenset()):
     while pairs:
         L, (i, j) = min((L, ij) for ij, L in pairs.items())
         del pairs[i, j]
-        if (i, j) in skip:
-            continue
         r = groebner._reduce(ring, groebner._spair(ring, L, G[i], G[j]), G)[0]
         if r:
             append(r)
-        else:
-            zero.add((i, j))
-    return G, zero
+    return G
 
 
 def planted_jacobian(rng, bound):

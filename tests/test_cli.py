@@ -472,7 +472,7 @@ def test_construct_certify_computes_each_artifact_once(capsys, tmp_path,
     monkeypatch.setattr(groebner, "radical_membership", counting_membership)
     monkeypatch.setattr(Polynomial, "partial_derivative", counting_partial)
     monkeypatch.setattr(groebner, "_views", counting_views)
-    # ex61 takes the plain path; the bound-3000 jacobian is traced
+    # ex61 has small coefficients, the bound-3000 jacobian 74-bit ones
     for manifest in (EX61_MANIFEST, BOUND_3000_MANIFEST):
         path = tmp_path / "fam.txt"
         path.write_text(manifest)

@@ -313,11 +313,16 @@ def test_uniqueness_and_audit_sample(make_rng):
 def test_reduced_basis_shape(make_rng):
     # reduced: monic, and no term divisible by another element's lead
     rng = make_rng(51)
-    ring = PolyRing(("x0", "x1", "x2"))
-    for _ in range(10):
-        gens = [support.random_nonzero(rng, ring, max_degree=2, max_terms=3,
-                                       coeff_bound=3, fractions=False)
-                for _ in range(2)]
+    ring = PolyRing(("x0", "x1", "x2"), QQ, "grevlex")
+    ideals = [[support.random_nonzero(rng, ring, max_degree=2, max_terms=3,
+                                      coeff_bound=3, fractions=False)
+               for _ in range(2)] for _ in range(10)]
+    # two generators with one lead, which the loop does not tail-reduce:
+    # with x0^2 + x1^2 first its minimal divisors are x1^2 - x1 and
+    # x0^2 + x1^2, and only _interreduce turns the second into x0^2 + x1
+    f, g = ring.parse("x0^2 + x1^2"), ring.parse("x0^2 + x1")
+    ideals += [[f, g], [g, f]]
+    for gens in ideals:
         assert_reduced(buchberger(Ideal(gens)))
 
 
@@ -509,7 +514,7 @@ def test_packed_engine_matches_the_tuple_engine(order, domain):
 
 
 # ---------------------------------------------------------------------------
-# the trace: zero pairs learned mod p, certified over QQ
+# the audit of a finished basis
 # ---------------------------------------------------------------------------
 
 # a planted type-I family at coefficient bound 3000; its jacobian's
@@ -525,135 +530,39 @@ R = -8853756670*x0^2 - 13635110935*x0*x1 - 34196700086*x0*x2 \
 """
 
 
-def _coefficient_bits(ideal):
-    return max(abs(c.numerator).bit_length() for g in ideal.generators
-               for _, c in g.terms)
-
-
-def _plain_basis(ideal, monkeypatch):
-    """The basis from the loop that skips no pair."""
-    with monkeypatch.context() as m:
-        m.setattr(groebner, "_TRACE_MIN_BITS", float("inf"))
-        return buchberger(ideal)
-
-
-def _count_loops(monkeypatch):
-    """Patch the Buchberger loop to record (modular, returned run) per call."""
-    calls = []
-    loop = groebner._loop
-
-    def counting(ring, gens, skip=frozenset()):
-        run = loop(ring, gens, skip)
-        calls.append((bool(ring.modulus), run))
-        return run
-
-    monkeypatch.setattr(groebner, "_loop", counting)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def bound_3000_jacobian():
     family = geometry.family_from_manifest(BOUND_3000_MANIFEST)
     return singular.jacobian_ideal(family.quartic)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_unlucky_primes_fall_back_to_the_same_basis(
-        monkeypatch, ring2, ex61_family, ex61_basis, bound_3000_jacobian, p):
-    ex61 = singular.jacobian_ideal(ex61_family.quartic)
-    assert _coefficient_bits(bound_3000_jacobian) >= 70
+def test_audited_basis_matches_the_plain_basis(make_rng, ring2,
+                                               bound_3000_jacobian,
+                                               planted_jacobian):
+    # audit=True checks the basis that the plain call returns, and only
+    # then: seeded ideals with small coefficients, an ideal whose basis is
+    # (1,), and the bound-3000 and planted jacobians
     x0, x1 = ring2.gens()
-    # a generator that vanishes mod p
-    vanishing = Ideal([p * x0 + 2 * p, x1 ** 2 - x0])
-    expected = {ex61: ex61_basis.polys,
-                bound_3000_jacobian: _plain_basis(bound_3000_jacobian,
-                                                  monkeypatch).polys,
-                vanishing: _plain_basis(vanishing, monkeypatch).polys}
-    monkeypatch.setattr(groebner, "_TRACE_PRIME", p)
-    for ideal, polys in expected.items():
-        basis = buchberger(ideal, audit=True)
-        assert basis.polys == polys
-        assert basis.audit is True
-
-
-def test_generators_outside_the_traced_basis_fall_back(monkeypatch, ring2):
-    # mod 5 the constant term vanishes, so the trace learns that the one
-    # pair reduces to zero; the QQ run keeps x0 and x0*x1 + 5/4, and
-    # minimalisation leaves {x0}, which passes the audit but does not
-    # generate the ideal; only the membership check catches it
-    x0, x1 = ring2.gens()
-    monkeypatch.setattr(groebner, "_TRACE_PRIME", 5)
-    calls = _count_loops(monkeypatch)
-    basis = buchberger(Ideal([-8 * x0, -4 * x0 * x1 - 5]), audit=True)
-    assert basis.polys == (ring2.one(),)
-    assert basis.audit is True
-    assert [(modular, run is None) for modular, run in calls] == [
-        (True, False), (False, False), (False, False)]
-
-
-def test_a_corrupt_trace_falls_back_to_the_same_basis(monkeypatch,
-                                                       bound_3000_jacobian):
-    expected = _plain_basis(bound_3000_jacobian, monkeypatch).polys
-    calls = _count_loops(monkeypatch)
-    loop = groebner._loop
-
-    def corrupting(ring, gens, skip=frozenset()):
-        G, zero = loop(ring, gens, skip)
-        if ring.modulus:
-            # the least pair of the generators that is not a zero pair is
-            # taken before any element is appended, and it appends one; it
-            # is marked as a zero pair
-            pairs = {}
-            for t in range(len(gens)):
-                pairs = groebner._update_pairs(ring, G, pairs, t)
-            zero.add(min((L, ij) for ij, L in pairs.items()
-                         if ij not in zero)[1])
-        return G, zero
-
-    monkeypatch.setattr(groebner, "_loop", corrupting)
-    basis = buchberger(bound_3000_jacobian, audit=True)
-    assert basis.polys == expected
-    assert basis.audit is True
-    # the traced QQ run completes and fails the checks, then the plain run
-    assert [(modular, run is None) for modular, run in calls] == [
-        (True, False), (False, False), (False, False)]
-
-
-def test_traced_basis_matches_the_plain_basis(make_rng):
-    # audit=True always traces; these small coefficients stay below the
-    # gate, so the plain call runs the loop once with no pair skipped
+    unit = Ideal([-8 * x0, -4 * x0 * x1 - 5])
+    ideals = [unit, bound_3000_jacobian, planted_jacobian]
     rng = make_rng(91)
-    cases = 0
     for order in ("grevlex", "grlex", "lex"):
         ring = PolyRing(("x0", "x1", "x2"), QQ, order)
         for _ in range(15):
             gens = [support.random_nonzero(rng, ring, max_degree=2,
                                            max_terms=3, coeff_bound=9)
                     for _ in range(rng.choice((2, 3)))]
-            traced = buchberger(Ideal(gens), audit=True)
-            plain = buchberger(Ideal(gens))
-            assert traced.polys == plain.polys, (order, gens)
-            assert traced.audit is True
-            assert plain.audit is None
-            cases += 1
-    assert cases >= 40
-
-
-@pytest.mark.parametrize("bits", [groebner._TRACE_MIN_BITS - 1,
-                                  groebner._TRACE_MIN_BITS])
-def test_trace_gate_on_coefficient_bits(monkeypatch, ring2, bits):
-    x0, x1 = ring2.gens()
-    c = 2 ** (bits - 1)
-    ideal = Ideal([x0 ** 2 - c * x1, x0 * x1 - 3 * x1 ** 2 + 1])
-    assert _coefficient_bits(ideal) == bits
-    calls = _count_loops(monkeypatch)
-    basis = buchberger(ideal)
-    traced = bits >= groebner._TRACE_MIN_BITS
-    assert [modular for modular, _ in calls] == ([True, False] if traced
-                                                 else [False])
-    assert basis.audit is (True if traced else None)
-    assert basis.polys == _plain_basis(ideal, monkeypatch).polys
-
+            ideals.append(Ideal(gens))
+    cases = 0
+    for ideal in ideals:
+        audited = buchberger(ideal, audit=True)
+        plain = buchberger(ideal)
+        assert audited.polys == plain.polys, ideal
+        assert audited.audit is True
+        assert plain.audit is None
+        cases += 1
+    assert buchberger(unit).polys == (ring2.one(),)
+    assert cases >= 43
 
 
 @pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003), GF(2), GF(3)],
@@ -807,63 +716,36 @@ def test_loop_matches_the_loop_without_tail_reduction(
     for case, gens in enumerate(ideals):
         ring = gens[0].ring
         items = [dict(g.items) for g in gens]
-        G, zero = support.loop_formula(ring, items)
+        G = support.loop_formula(ring, items)
         basis = buchberger(Ideal(gens), audit=case % 4 == 1)
         assert basis.polys == tuple(groebner._interreduce(ring, G)), gens
         assert basis.verify_buchberger_criterion(), gens
         run = groebner._loop(ring, items)
         if ring.modulus:
-            assert run == (G, zero), gens
+            assert run == G, gens
         else:
-            tail_reduced += run[0] != G
+            tail_reduced += run != G
     assert tail_reduced >= (2 if domain is QQ else 0)
 
 
 def test_loop_keeps_the_divisors_tail_reduced(make_rng, ex61_family,
                                               ex62_family, planted_jacobian):
     # seeded ideals, homogeneous or not, in the three orders, the two
-    # examples' jacobians, and the planted jacobian's traced QQ run, which
-    # skips the zero pairs of its GF(32003) run
+    # examples' jacobians and the planted jacobian
     rng = make_rng(95)
     runs = []
     for order in ("grevlex", "grlex", "lex"):
         ring = PolyRing(("x0", "x1", "x2"), QQ, order)
         runs += [(ring, [dict(g.items) for g in
-                         _random_generators(rng, ring, case % 2 == 0)],
-                  frozenset()) for case in range(30)]
-    for family in (ex61_family, ex62_family):
-        ideal = singular.jacobian_ideal(family.quartic)
-        runs.append((ideal.ring, [dict(g.items) for g in ideal.generators],
-                     frozenset()))
-    ring = planted_jacobian.ring
-    gens = [dict(g.items) for g in planted_jacobian.generators]
-    modular = PolyRing(ring.variables, GF(groebner._TRACE_PRIME), ring.order)
-    _, zero = groebner._loop(modular, [{m: c % modular.modulus
-                                        for m, c in g.items()} for g in gens])
-    runs.append((ring, gens, zero))
+                         _random_generators(rng, ring, case % 2 == 0)])
+                 for case in range(30)]
+    for ideal in (singular.jacobian_ideal(ex61_family.quartic),
+                  singular.jacobian_ideal(ex62_family.quartic),
+                  planted_jacobian):
+        runs.append((ideal.ring, [dict(g.items) for g in ideal.generators]))
     untidy = 0
-    for ring, gens, skip in runs:
-        assert _tail_faults(ring, groebner._loop(ring, gens, skip)[0]) == []
-        untidy += bool(_tail_faults(ring, support.loop_formula(ring, gens,
-                                                               skip)[0]))
+    for ring, gens in runs:
+        assert _tail_faults(ring, groebner._loop(ring, gens)) == []
+        untidy += bool(_tail_faults(ring, support.loop_formula(ring, gens)))
     # the check can fail: the loop without tail reduction leaves such tails
     assert untidy >= 5
-
-
-@pytest.mark.parametrize("name", ["ex61", "ex62", "planted"])
-def test_the_trace_is_kept_on_the_jacobians(monkeypatch, ex61_family,
-                                            ex62_family, planted_jacobian,
-                                            name):
-    # the GF(p) run keeps its divisors as appended and the QQ run
-    # tail-reduces them; the QQ run must still mirror the zero pairs that
-    # the GF(p) run learned, so the traced basis is kept and no plain loop
-    # runs after it
-    ideal = {"ex61": singular.jacobian_ideal(ex61_family.quartic),
-             "ex62": singular.jacobian_ideal(ex62_family.quartic),
-             "planted": planted_jacobian}[name]
-    if name == "planted":
-        assert _coefficient_bits(ideal) >= groebner._TRACE_MIN_BITS
-    calls = _count_loops(monkeypatch)
-    basis = buchberger(ideal, audit=True)
-    assert [modular for modular, _ in calls] == [True, False]
-    assert basis.audit is True
